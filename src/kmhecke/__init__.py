@@ -23,7 +23,6 @@ from .completed import (
     compute_source_region,
     e_function_expand,
     mult_truncated,
-    region_enumerate,
 )
 from .hecke_bl import BLElement, commute_Hi_past_Z, is_in_H, mult_bl, r_window
 from .parahoric import (

@@ -39,6 +39,7 @@ from .root_system import (
     validate_gcm,
 )
 from .weyl import (
+    DEFAULT_TITS_BUDGET,
     all_reduced_words,
     bruhat_leq,
     dominant_representative,
@@ -49,7 +50,6 @@ from .weyl import (
 
 DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_WORD_CAP = 10_000
-DEFAULT_TITS_BUDGET = 1_000
 
 
 def _read_json(path: str):

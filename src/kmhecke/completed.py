@@ -16,6 +16,13 @@ certificate also dominates the *dominant representatives* of its support
 (the `dominant` flag).  Without that flag such products are refused
 rather than silently truncated; there are explicit series for which the
 coefficient sums genuinely diverge.
+
+The finiteness argument is written once, as the walk `_contributions`:
+for a target point rho it yields each (lam, u, mus) through which the two
+factors can reach rho.  `compute_source_region` collects what it yields;
+`mult_truncated` (which refuses), `center_test` and the right action of
+`bimodule_act` (which keep the certified points) check it through
+`_first_unknown`.
 """
 
 from __future__ import annotations
@@ -152,11 +159,6 @@ def _bounded_compositions(n: int, budget: int):
             yield (first,) + rest
 
 
-def region_enumerate(datum: RootDatum, region: Region) -> list[Point]:
-    """Complete, sorted listing of a region's points."""
-    return region.enumerate(datum)
-
-
 @dataclass(frozen=True)
 class AFCertificate:
     """Global support bounds for an element of the completion.
@@ -259,9 +261,6 @@ class TruncatedElement:
             raise InsufficientSource(f"coefficient at ({lam}, {w}) is outside the known region")
         return self.classes.zero()
 
-    def support_w(self) -> tuple[WeylElement, ...]:
-        return self.certificate.w_part
-
     @classmethod
     def from_bl(cls, element: BLElement) -> "TruncatedElement":
         """Wrap a finite element; certificate generators are the dominant reps."""
@@ -286,12 +285,6 @@ class TruncatedElement:
         return TruncatedElement(
             self.datum, self.classes, datum_region, coeffs, self.certificate, self.in_bl_bar
         )
-
-    def as_bl(self) -> BLElement:
-        """The known coefficients as a finite element (only valid when region is None)."""
-        if self.region is not None:
-            raise ValueError("truncated element is not finite")
-        return BLElement(self.datum, self.classes, dict(self.coeffs))
 
     def __eq__(self, other):
         return (
@@ -396,96 +389,78 @@ def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas, cap: in
     return results
 
 
-def _certify_targets(
-    target_points,
-    a: TruncatedElement,
-    b: TruncatedElement,
-    u_cap: int,
-    strict: bool = True,
-):
-    """Check that every certificate-possible contribution to the targets is known.
+def _require_certifiable(cert_a: AFCertificate, u_cap: int, cert_b: AFCertificate | None):
+    """The preconditions under which the walk below is finite.
 
-    Returns the set of target points that are fully certified; with
-    `strict` a failure raises InsufficientSource instead.
+    `cert_b` is the right certificate that bounds the reverse windows, or
+    None when the right factor is explicit and the windows run forward.
     """
-    datum = a.datum
-    wa = a.certificate.w_part
-    wb = b.certificate.w_part
-    for u in wa:
+    for u in cert_a.w_part:
         if u.length > u_cap:
             raise CapExceeded(f"left Weyl support length {u.length} exceeds u_cap={u_cap}")
-    nontrivial = any(u.length > 0 for u in wa)
-    if nontrivial and b.region is not None and not b.certificate.dominant:
+    if cert_b is not None and not cert_b.dominant and any(u.word for u in cert_a.w_part):
         raise InsufficientSource(
             "left factor has nontrivial Weyl support; the right factor's certificate "
             "must carry dominant support bounds for the product to be certifiable"
         )
 
-    good = set()
-    for rho in target_points:
-        rho = tuple(rho)
-        try:
-            _certify_single(datum, rho, a, b)
-            good.add(rho)
-        except InsufficientSource:
-            if strict:
-                raise
-    return good
 
+def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, right=None):
+    """Every (lam, u, mus) through which Z^lam H_u * Z^mu H_v can reach rho.
 
-def _certify_single(datum, rho: Point, a: TruncatedElement, b: TruncatedElement):
-    wa = a.certificate.w_part
-    if a.region is None and b.region is None:
-        return
-    if b.region is None:
-        # right factor finite: windows forward from its explicit support
-        for u in wa:
-            for (mu, v) in b.coeffs:
+    With an explicit right Y-support `right`, windows run forward from it
+    and each source mu comes alone.  Otherwise lam ranges over the left
+    factor's explicit support `left` (its (lam, u) keys) or, without one,
+    over the dominance intervals of the two certificates, and the mus are
+    the reverse window of rho - lam under u, cut to what `cert_b` allows.
+    For u = e the window is the single point rho - lam, unfiltered.
+    """
+    if right is not None:
+        for u in cert_a.w_part:
+            for mu in right:
                 for nu in r_window(datum, u, mu):
-                    lam = linalg.vec_sub(rho, nu)
-                    if not a.knows(lam, u):
-                        raise InsufficientSource(
-                            f"left factor unknown at ({lam}, {u}) needed for target {rho}"
-                        )
+                    yield linalg.vec_sub(rho, nu), u, (mu,)
         return
-
-    def lam_candidates(u):
-        if a.region is None:
-            # the left support is explicit; only its points can contribute
-            return sorted({lam for (lam, uu) in a.coeffs if uu == u})
-        out: set[Point] = set()
-        for ga in a.certificate.generators:
-            for gb in b.certificate.generators:
-                lo = linalg.vec_sub(rho, gb)
-                out.update(_dominance_interval(datum, lo, ga))
-        return sorted(out)
-
-    for u in wa:
-        kappas = b.certificate.generators
-        for lam in lam_candidates(u):
+    if left is None:
+        lams: set[Point] = set()
+        for ga in cert_a.generators:
+            for gb in cert_b.generators:
+                lams.update(_dominance_interval(datum, linalg.vec_sub(rho, gb), ga))
+    for u in cert_a.w_part:
+        for lam in lams if left is None else {lam for (lam, v) in left if v == u}:
             nu = linalg.vec_sub(rho, lam)
-            if u.length == 0:
-                mus = {nu}
-            else:
-                mus = _reverse_window(datum, u, nu, kappas)
-            mus = {
+            if not u.word:
+                yield lam, u, (nu,)
+                continue
+            mus = _reverse_window(datum, u, nu, cert_b.generators)
+            yield lam, u, [mu for mu in mus if cert_b.allows_y(datum, mu)]
+
+
+def _first_unknown(rho: Point, a: TruncatedElement, b: TruncatedElement):
+    """None when every coefficient that can reach rho is known, else the
+    first unknown one as (factor, lam, w), factor being "left" or "right"."""
+    if a.region is None and b.region is None:
+        return None
+    datum, cert_b = a.datum, b.certificate
+    right = None if b.region is not None else {mu for (mu, _) in b.coeffs}
+    left = None if a.region is not None else a.coeffs
+    for lam, u, mus in _contributions(datum, rho, a.certificate, cert_b, left, right):
+        if right is None:
+            mus = [
                 mu
                 for mu in mus
-                if b.certificate.allows_y(datum, mu)
+                if (u.word or cert_b.allows_y(datum, mu))
                 and (b.in_bl_bar or tits_cone_status(datum, mu) == IN_TITS_CONE)
-            }
+            ]
             if not mus:
                 continue
-            if not a.knows(lam, u):
-                raise InsufficientSource(
-                    f"left factor unknown at ({lam}, {u}) for target {rho}"
-                )
-            for mu in mus:
-                for v in b.certificate.w_part:
-                    if not b.knows(mu, v):
-                        raise InsufficientSource(
-                            f"right factor unknown at ({mu}, {v}) for target {rho}"
-                        )
+        if not a.knows(lam, u):
+            return "left", lam, u
+        for mu in mus:
+            for v in cert_b.w_part:
+                if not b.knows(mu, v):
+                    return "right", mu, v
+    return None
 
 
 def _accumulate_product(a: TruncatedElement, b: TruncatedElement):
@@ -528,7 +503,14 @@ def mult_truncated(
         raise ValueError("the completed product is defined on Y+-supported elements")
     datum = a.datum
     points = target.enumerate(datum)
-    _certify_targets(points, a, b, u_cap)
+    _require_certifiable(a.certificate, u_cap, None if b.region is None else b.certificate)
+    for rho in points:
+        missing = _first_unknown(rho, a, b)
+        if missing is not None:
+            factor, lam, w = missing
+            raise InsufficientSource(
+                f"{factor} factor unknown at ({lam}, {w}) for target {rho}", needed=missing
+            )
     full = _accumulate_product(a, b)
     point_set = set(points)
     coeffs = {
@@ -548,36 +530,19 @@ def compute_source_region(
 ) -> tuple[Region, Region]:
     """Regions on which the factors must be exact for the target to be exact.
 
-    Runs the same candidate enumeration as the product engine and wraps
-    the needed points in dominance-height cones; monotone in the target.
+    Collects the lam and mu of every contribution the certification walk
+    finds from the two certificates, and wraps them in dominance-height
+    cones; monotone in the target.
     """
-    for u in cert_a.w_part:
-        if u.length > u_cap:
-            raise CapExceeded(f"left Weyl support length {u.length} exceeds u_cap={u_cap}")
-    nontrivial = any(u.length > 0 for u in cert_a.w_part)
-    if nontrivial and not cert_b.dominant:
-        raise InsufficientSource(
-            "right certificate must carry dominant bounds when the left factor "
-            "has nontrivial Weyl support"
-        )
+    _require_certifiable(cert_a, u_cap, cert_b)
     need_a: set[Point] = set()
     need_b: set[Point] = set()
     for rho in target.enumerate(datum):
-        for u in cert_a.w_part:
-            for ga in cert_a.generators:
-                for gb in cert_b.generators:
-                    lo = linalg.vec_sub(rho, gb)
-                    for lam in _dominance_interval(datum, lo, ga):
-                        nu = linalg.vec_sub(rho, lam)
-                        if u.length == 0:
-                            need_a.add(lam)
-                            need_b.add(nu)
-                        else:
-                            mus = _reverse_window(datum, u, nu, cert_b.generators)
-                            mus = {m for m in mus if cert_b.allows_y(datum, m)}
-                            if mus:
-                                need_a.add(lam)
-                                need_b |= mus
+        for lam, _, mus in _contributions(datum, rho, cert_a, cert_b):
+            if mus:
+                need_a.add(lam)
+                need_b.update(mus)
+
     def wrap(points, gens):
         drop = 0
         for p in points:
@@ -620,21 +585,12 @@ def bimodule_act(
     if side != "right":
         raise ValueError("side must be 'left' or 'right'")
 
-    # right action: expand each H_w over its window at mu
-    zero = classes.zero()
-    out: dict[tuple[Point, WeylElement], LaurentPoly] = {}
-    basis_cache: dict[WeylElement, BLElement] = {}
-    for (lam, w), c in a.coeffs.items():
-        if w not in basis_cache:
-            from .hecke_bl import _basis_product
-
-            basis_cache[w] = _basis_product(datum, classes, w, mu, identity(datum))
-        for (nu, t), cz in basis_cache[w].terms.items():
-            key = (linalg.vec_add(lam, nu), t)
-            prod = c * cz
-            if not prod.is_zero():
-                out[key] = out.get(key, zero) + prod
-
+    # right action: a * Z^mu, exact wherever every pulled-back source is known
+    zmu = BLElement.z_monomial(datum, classes, mu)
+    z = TruncatedElement(
+        datum, classes, None, zmu.terms, AFCertificate((mu,), (identity(datum),))
+    )
+    out = _accumulate_product(a, z).terms
     gens = tuple(sorted(linalg.vec_add(g, mu) for g in a.certificate.generators))
     ws: set[WeylElement] = set()
     for w in a.certificate.w_part:
@@ -646,25 +602,18 @@ def bimodule_act(
     if a.region is None:
         return TruncatedElement(datum, classes, None, out, cert, in_bl_bar=a.in_bl_bar)
 
-    # keep only output coordinates whose every pulled-back source is known
     if target is not None:
-        candidates = set(map(tuple, target.enumerate(datum)))
+        points = set(target.enumerate(datum))
     else:
-        candidates = {lam for (lam, _) in out}
-    certified = set()
-    for rho in candidates:
-        ok = True
-        for w in a.certificate.w_part:
-            for nu in r_window(datum, w, mu):
-                if not a.knows(linalg.vec_sub(rho, nu), w):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            certified.add(rho)
-    if target is not None and not certified >= set(map(tuple, target.enumerate(datum))):
-        missing = sorted(set(map(tuple, target.enumerate(datum))) - certified)
+        # every point a term of a * Z^mu lands on, also where the terms cancel
+        lands = {
+            w: mult_bl(BLElement.basis(datum, classes, datum.zero(), w), zmu).support_y()
+            for w in {w for (_, w) in a.coeffs}
+        }
+        points = {linalg.vec_add(lam, nu) for (lam, w) in a.coeffs for nu in lands[w]}
+    certified = {rho for rho in points if _first_unknown(rho, a, z) is None}
+    if target is not None and certified != points:
+        missing = sorted(points - certified)
         raise InsufficientSource(f"right action not exact at {missing[:3]}...")
     region = Region.explicit(certified)
     coeffs = {(lam, w): p for (lam, w), p in out.items() if lam in certified}
@@ -759,8 +708,10 @@ def center_test(
         cands = {lam for (lam, _) in lhs.terms} | {lam for (lam, _) in rhs.terms}
         cands |= {lam for (lam, _) in a.coeffs}
         try:
-            ok_l = _certify_targets(cands, a, tp, u_cap, strict=False)
-            ok_r = _certify_targets(cands, tp, a, u_cap, strict=False)
+            _require_certifiable(a.certificate, u_cap, None)
+            ok_l = {rho for rho in cands if _first_unknown(rho, a, tp) is None}
+            _require_certifiable(tp.certificate, u_cap, None if a.region is None else a.certificate)
+            ok_r = {rho for rho in cands if _first_unknown(rho, tp, a) is None}
         except (InsufficientSource, CapExceeded):
             continue
         certified = ok_l & ok_r

@@ -38,6 +38,12 @@ class AsymmetricZero(GCMError):
         super().__init__(f"entry ({i},{j}) is zero but ({j},{i}) is not")
 
 
+class SimpleIndexOutOfRange(KacMoodyError):
+    def __init__(self, i, n: int):
+        self.i = i
+        super().__init__(f"simple index {i} is out of range 0..{n - 1}")
+
+
 # --- realizations ---
 
 class RealizationError(KacMoodyError):

@@ -354,8 +354,8 @@ def commute_Hi_past_Z(
     datum: RootDatum, classes: ParamClasses, i: int, nu: Point
 ) -> BLElement:
     """H_i * Z^nu rewritten in the Z H basis (see `_commute_packed`)."""
+    rid = _intern(datum, simple_reflection(datum, i))  # validates i before caching
     prnu, window = _commute_packed(datum, classes, i, _pack_exps(tuple(nu)))
-    rid = _intern(datum, simple_reflection(datum, i))
     eid = _intern(datum, identity(datum))
     raw: dict = {prnu * _WCAP + rid: _pack_poly(classes.one().coeffs)}
     for ppt, coeff in window:
@@ -438,13 +438,6 @@ def _basis_product_packed(
     return state
 
 
-def _basis_product(datum, classes, u, mu, v) -> BLElement:
-    raw = _basis_product_packed(
-        datum, classes, _intern(datum, u), _pack_exps(tuple(mu)), _intern(datum, v)
-    )
-    return _wrap_terms(datum, classes, raw)
-
-
 def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     """Bilinear extension of the basis products."""
     a._compat(b)
@@ -500,11 +493,3 @@ def is_in_H(element: BLElement, budget: int = 1000) -> bool:
         if not in_y_plus(element.datum, lam, budget):
             return False
     return True
-
-
-def element_to_json(element: BLElement):
-    return element.to_json()
-
-
-def element_from_json(datum, classes, data) -> BLElement:
-    return BLElement.from_json(datum, classes, data)

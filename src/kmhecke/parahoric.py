@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff_ring import LaurentPoly, param_ring_for
-from .errors import FaceIsMinimal, FaceIsSpherical, NonSpherical, NotDivisible
+from .errors import (
+    FaceIsMinimal,
+    FaceIsSpherical,
+    NonSpherical,
+    NotDivisible,
+    SimpleIndexOutOfRange,
+)
 from .hecke_bl import BLElement, mult_bl
 from .root_system import Point, RootDatum
 from .weyl import (
@@ -47,8 +53,9 @@ class FaceType:
 def face_type(datum: RootDatum, j_zero) -> FaceType:
     """Classify the face with vanishing pairings exactly on j_zero."""
     j_zero = tuple(sorted(set(j_zero)))
-    if any(i < 0 or i >= datum.n for i in j_zero):
-        raise IndexError("face indices out of range")
+    for i in j_zero:
+        if not 0 <= i < datum.n:
+            raise SimpleIndexOutOfRange(i, datum.n)
     j_pos = tuple(i for i in range(datum.n) if i not in j_zero)
     return FaceType(datum, j_zero, j_pos, parabolic_is_finite(datum, j_zero))
 
@@ -160,15 +167,13 @@ def decompose_in_coset_sums(face: FaceType, element: BLElement) -> dict[CosetLab
 
 
 def parahoric_product(
-    face: FaceType, d1: CosetLabel, d2: CosetLabel, target=None
+    face: FaceType, d1: CosetLabel, d2: CosetLabel
 ) -> dict[CosetLabel, LaurentPoly]:
     """Structure constants of X_{d1} * X_{d2} after dividing by P_F.
 
     The product of two coset sums must be P_F times a combination of
     coset sums; failure of either divisibility or the grouping is a
-    model-consistency error and is reported, never rounded away.  The
-    `target` argument is accepted for interface parity; products of
-    finite coset sums are computed exactly everywhere.
+    model-consistency error and is reported, never rounded away.
     """
     datum = face.datum
     classes = param_ring_for(datum)

@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceeded,
     FaceIsMinimal,
     FaceIsSpherical,
+    SimpleIndexOutOfRange,
     TitsConeUndecided,
 )
 from .root_system import (
@@ -32,6 +33,7 @@ from .root_system import (
     ComponentReport,
     Point,
     RootDatum,
+    _graph_components,
     affine_delta,
     classify_components,
 )
@@ -121,7 +123,7 @@ def identity(datum: RootDatum) -> WeylElement:
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
     if not 0 <= i < datum.n:
-        raise IndexError(i)
+        raise SimpleIndexOutOfRange(i, datum.n)
     return WeylElement(datum, _reflection_matrix(datum, i), (i,), _q_reflection_matrix(datum, i))
 
 
@@ -514,7 +516,7 @@ def infinite_orbit_witness(
         raise FaceIsSpherical(j_zero)
     if not j_pos:
         raise FaceIsMinimal()
-    if len(_graph_components_of(datum.gcm)) != 1:
+    if len(_graph_components(datum.gcm)) != 1:
         raise ValueError("matrix must be indecomposable; apply per component")
     if u is None:
         u = face_point(datum, j_zero, j_pos)
@@ -557,12 +559,6 @@ def infinite_orbit_witness(
     if suborbit_is_finite(datum, j_zero, x):
         raise AssertionError("one of the two candidates must have infinite orbit")
     return w
-
-
-def _graph_components_of(gcm: GCM):
-    from .root_system import _graph_components
-
-    return _graph_components(gcm)
 
 
 # --- JSON ---

@@ -23,7 +23,6 @@ from kmhecke.completed import (
     compute_source_region,
     e_function_expand,
     mult_truncated,
-    region_enumerate,
 )
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, is_in_H, mult_bl, r_window
 from kmhecke.parahoric import (

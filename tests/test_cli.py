@@ -225,3 +225,18 @@ def test_complete_cli_round_trip(capsys, tmp_path, a2_file):
     el2.write_text(out)
     code, out, _ = run(capsys, ["complete", "center", "--datum", a2_file, str(el2)])
     assert code == 0 and out.strip().splitlines()[0] == "status: Central"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hecke", "commute", "--index", "7", "--point", "1,1"],
+        ["hecke", "commute", "--index", "-1", "--point", "1,1"],
+        ["parahoric", "coset", "--jzero", "5", "--point", "1,1"],
+        ["parahoric", "coset", "--jzero", "0", "--point", "1,1", "--word", "4"],
+    ],
+)
+def test_out_of_range_simple_index(capsys, a2_file, argv):
+    code, out, err = run(capsys, argv[:2] + ["--datum", a2_file] + argv[2:])
+    assert code == 2 and out == ""
+    assert err.startswith("SimpleIndexOutOfRange: ") and err.count("\n") == 1

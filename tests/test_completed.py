@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmhecke.coeff_ring import param_ring_for
 from kmhecke.completed import (
@@ -17,11 +18,11 @@ from kmhecke.completed import (
     compute_source_region,
     e_function_expand,
     mult_truncated,
-    region_enumerate,
     truncated_from_json,
 )
 from kmhecke.errors import InsufficientSource, NotDominant
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
+from kmhecke.root_system import build_realization, validate_gcm
 from kmhecke.weyl import element_from_word, identity, orbit_is_finite
 
 C = (1, 1, 0)  # the central coroot direction of affine A1
@@ -46,21 +47,21 @@ def geometric_series(a1, height):
 class TestRegion:
     def test_a2_height_one(self, a2):
         # (1,1) minus each simple coroot, all inside Y+ = Y in finite type
-        assert region_enumerate(a2, Region.cone([(1, 1)], 1)) == [
+        assert Region.cone([(1, 1)], 1).enumerate(a2) == [
             (0, 1),
             (1, 0),
             (1, 1),
         ]
 
     def test_height_zero_is_generators(self, a2, aff):
-        assert region_enumerate(a2, Region.cone([(2, -1)], 0)) == [(2, -1)]
-        assert region_enumerate(aff, Region.cone([D], 0)) == [D]
+        assert Region.cone([(2, -1)], 0).enumerate(a2) == [(2, -1)]
+        assert Region.cone([D], 0).enumerate(aff) == [D]
 
     def test_affine_delta_filter(self, aff):
         # below the central direction everything has level zero, so only
         # the inessential points survive the Tits-cone filter: c itself
         # and c - alpha_0^v - alpha_1^v = 0
-        assert region_enumerate(aff, Region.cone([C], 2)) == [(0, 0, 0), C]
+        assert Region.cone([C], 2).enumerate(aff) == [(0, 0, 0), C]
 
     def test_explicit_and_membership(self, a2):
         reg = Region.explicit([(0, 0), (1, 1)])
@@ -76,7 +77,7 @@ class TestMultTruncated:
         target = Region.cone([(1, 1)], 4)
         res = mult_truncated(tx, ty, target)
         full = mult_bl(x, y)
-        pts = set(region_enumerate(a2, target))
+        pts = set(target.enumerate(a2))
         assert res.coeffs == {
             (lam, w): c for (lam, w), c in full.terms.items() if lam in pts
         }
@@ -106,8 +107,11 @@ class TestMultTruncated:
         b = BLElement.unit(a1, classes) - BLElement.z_monomial(a1, classes, (-1,))
         tb = TruncatedElement.from_bl(b)
         target = Region.cone([(0,)], 6)
-        with pytest.raises(InsufficientSource):
+        with pytest.raises(InsufficientSource) as refused:
             mult_truncated(geometric_series(a1, 4), tb, target)
+        factor, lam, w = refused.value.needed
+        assert factor == "left" and w == identity(a1)
+        assert lam not in geometric_series(a1, 4).region.enumerate(a1)
 
     def test_weak_right_certificate_refused(self, a1):
         """Windows from the left require dominant bounds on the right."""
@@ -365,3 +369,67 @@ def test_truncated_json_round_trip(a2):
     )
     again = truncated_from_json(a2, classes, a.to_json())
     assert again.coeffs == a.coeffs and again.region == a.region
+
+
+
+# dominant points of each datum from which certificates and targets are drawn
+_DATA = (
+    (build_realization(validate_gcm([[2]])), ((0,), (1,), (2,))),
+    (
+        build_realization(
+            validate_gcm([[2, -1], [-1, 2]]), (2, [(1, 0), (0, 1)], [(2, -1), (-1, 2)])
+        ),
+        ((0, 0), (1, 1), (2, 1), (1, 2)),
+    ),
+)
+
+
+@st.composite
+def _certified_product(draw):
+    """Certificates on A1 or A2 with Weyl parts in {e, r_1}, and a cone target."""
+    datum, points = draw(st.sampled_from(_DATA))
+    e, r1 = identity(datum), element_from_word(datum, [0])
+
+    def cert(dominant):
+        gens = draw(st.lists(st.sampled_from(points), min_size=1, max_size=2, unique=True))
+        w_part = draw(st.sampled_from(((e,), (r1,), (e, r1))))
+        return AFCertificate(tuple(sorted(gens)), w_part, dominant or draw(st.booleans()))
+
+    cert_a = cert(False)
+    # windows from the left need dominant bounds on the right
+    cert_b = cert(any(u.word for u in cert_a.w_part))
+    target = Region.cone([draw(st.sampled_from(points))], draw(st.integers(0, 3)))
+    return datum, cert_a, cert_b, target, draw(st.integers(0, 2**16))
+
+
+def _factor(datum, cert, region, rng):
+    """Coefficients exact on `region`, and a finite series that agrees with
+    them there and adds terms the certificate allows up to two heights
+    further down."""
+    classes = param_ring_for(datum)
+    exact, wider = {}, {}
+    for lam in Region.cone(region.generators, region.height + 2).enumerate(datum):
+        for w in cert.w_part:
+            c = rng.randint(-2, 2)
+            if c and cert.allows_y(datum, lam):
+                wider[(lam, w)] = classes.const(c)
+                if region.contains(datum, lam):
+                    exact[(lam, w)] = classes.const(c)
+    return TruncatedElement(datum, classes, region, exact, cert), BLElement(datum, classes, wider)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certified_product())
+def test_source_region_suffices_for_the_certified_product(case):
+    """Factors exact on the regions of compute_source_region are never
+    refused, and their product on the target is that of any series which
+    agrees with them there and obeys the certificates."""
+    datum, cert_a, cert_b, target, seed = case
+    rng = random.Random(seed)
+    src_a, src_b = compute_source_region(datum, target, cert_a, cert_b)
+    a, wide_a = _factor(datum, cert_a, src_a, rng)
+    b, wide_b = _factor(datum, cert_b, src_b, rng)
+    got = mult_truncated(a, b, target)
+    points = set(target.enumerate(datum))
+    want = {k: p for k, p in mult_bl(wide_a, wide_b).terms.items() if k[0] in points}
+    assert got.coeffs == want

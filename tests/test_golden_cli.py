@@ -19,11 +19,7 @@ from kmhecke.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "json")
-
-
-def _cases():
-    with open(GOLDEN / "cases.json", encoding="utf-8") as fh:
-        return json.load(fh)
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def _run(argv, fmt):
@@ -35,26 +31,25 @@ def _run(argv, fmt):
 
 
 def _expected():
-    with open(GOLDEN / "expected.json", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(_cases()))
+@pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_golden_cli(name, fmt):
     want = _expected()[f"{name} {fmt}"]
-    code, out = _run(_cases()[name], fmt)
+    code, out = _run(CASES[name], fmt)
     assert code == want["exit"]
     assert out == want["stdout"]
 
 
 def test_golden_corpus_is_complete():
-    assert set(_expected()) == {f"{n} {f}" for n in _cases() for f in FORMATS}
+    assert set(_expected()) == {f"{n} {f}" for n in CASES for f in FORMATS}
 
 
 if __name__ == "__main__":
     expected = {}
-    for name, argv in _cases().items():
+    for name, argv in CASES.items():
         for fmt in FORMATS:
             code, out = _run(argv, fmt)
             expected[f"{name} {fmt}"] = {"exit": code, "stdout": out}

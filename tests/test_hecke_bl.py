@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from kmhecke import hecke_bl
 from kmhecke.coeff_ring import param_ring_for
+from kmhecke.errors import SimpleIndexOutOfRange
 from kmhecke.hecke_bl import (
     BLElement,
     commute_Hi_past_Z,
@@ -40,6 +44,14 @@ class TestCommute:
             - _zh(a1, (0,)).scale(classes.sigma_minus_inverse(0, primed=True))
         )
         assert res == expected
+
+    def test_out_of_range_index_is_refused_before_caching(self, a2):
+        classes = param_ring_for(a2)
+        cached = hecke_bl._commute_packed.cache_info().currsize
+        for i in (-1, 2):
+            with pytest.raises(SimpleIndexOutOfRange):
+                commute_Hi_past_Z(a2, classes, i, (1, 1))
+        assert hecke_bl._commute_packed.cache_info().currsize == cached
 
 
 class TestMultBL:
