@@ -159,15 +159,16 @@ def _cmd_weyl_orbit(args):
 def _cmd_weyl_dominant(args):
     datum = _load_datum(args.datum)
     rep = dominant_representative(datum, _point(args.point), budget=args.budget_tits)
+    w = rep.minimizer
     payload = {
         "status": rep.status,
         "dominant": None if rep.dominant is None else list(rep.dominant),
-        "minimizer": None if rep.minimizer is None else list(rep.minimizer.word),
+        "minimizer": None if w is None else list(w.word),
     }
     lines = [f"status: {rep.status}"]
     if rep.dominant is not None:
         lines.append("dominant: " + ",".join(map(str, rep.dominant)))
-        lines.append("word: " + ",".join(map(str, rep.minimizer.word)))
+        lines.append("word: " + ",".join(map(str, w.word)))
     _emit(payload, args.format, lines)
     return 0
 

@@ -44,6 +44,14 @@ class SimpleIndexOutOfRange(KacMoodyError):
         super().__init__(f"simple index {i} is out of range 0..{n - 1}")
 
 
+class PointLengthMismatch(KacMoodyError):
+    def __init__(self, point, rank_y: int):
+        self.point = tuple(point)
+        super().__init__(
+            f"point {self.point} has {len(self.point)} coordinates, the lattice has rank {rank_y}"
+        )
+
+
 # --- realizations ---
 
 class RealizationError(KacMoodyError):
@@ -58,6 +66,10 @@ class DependentRoots(RealizationError):
 class DependentCoroots(RealizationError):
     def __init__(self):
         super().__init__("simple coroots are linearly dependent")
+
+
+class RealizationShape(RealizationError):
+    """Coroot or root vectors of the wrong number or length."""
 
 
 class PairingMismatch(RealizationError):

@@ -151,6 +151,36 @@ def integer_solution(rows, rhs) -> Vec | None:
     return tuple(int(f) for f in x)
 
 
+def det_adjugate(rows) -> tuple[int, Mat]:
+    """Determinant and adjugate of an invertible square integer matrix.
+
+    adj(A) A = A adj(A) = det(A) I, so A x = b has the solution
+    adj(A) b / det(A), computed in integers.  Gauss-Jordan over the
+    rationals; raises ValueError on a singular matrix.
+    """
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix has no adjugate inverse")
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        p = m[c][c]
+        det *= p
+        m[c] = [x / p for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det), tuple(tuple(int(x * det) for x in row[n:]) for row in m)
+
+
 # --- Fourier-Motzkin feasibility for homogeneous strict/weak systems ---
 
 Constraint = tuple[tuple[Fraction, ...], bool]  # (coefficients, strict): c.x > 0 or c.x >= 0

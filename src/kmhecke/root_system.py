@@ -6,6 +6,12 @@ integer linear forms on Y, pairing to `A`.  The default realization has
 dimension 2n - rank(A): coroots are the first n standard basis vectors,
 and the roots are the columns of `A` extended by a primitive basis of
 ker(A) so that they become linearly independent.  All arithmetic is exact.
+
+Coordinates on the coroot basis (`q_coords`, behind dominance order and
+heights) are an integer solve: each datum stores, once, n independent
+rows of its coroot matrix with the integer adjugate and determinant of
+that block, so a solve is a few integer multiplies, one divisibility
+test per coordinate and a check of every row.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from .errors import (
     DependentRoots,
     DiagonalNotTwo,
     PairingMismatch,
+    PointLengthMismatch,
     PositiveOffDiagonal,
+    RealizationShape,
     ZeroForm,
 )
 
@@ -84,6 +92,10 @@ class RootDatum:
     `coroots[i]` is a vector in Y, `roots[i]` an integer linear form on Y
     (stored by its coordinates on the dual basis), and
     roots[j] . coroots[i] == gcm[i][j].
+
+    `_solver` holds what `q_coords` needs: the indices of n independent
+    rows of the coroot matrix C (rank_y x n, columns the coroots), the
+    integer adjugate and determinant of that n x n block, and C itself.
     """
 
     gcm: GCM
@@ -95,6 +107,15 @@ class RootDatum:
         object.__setattr__(
             self, "_hash", hash((self.gcm, self.rank_y, self.coroots, self.roots))
         )
+        n = len(self.coroots)
+        _, rows = linalg.rref(self.coroots)
+        if len(rows) < n:
+            raise DependentCoroots()
+        cmat = tuple(
+            tuple(self.coroots[i][r] for i in range(n)) for r in range(self.rank_y)
+        )
+        det, adj = linalg.det_adjugate([cmat[r] for r in rows])
+        object.__setattr__(self, "_solver", (tuple(rows), adj, det, cmat))
 
     def __hash__(self):
         return self._hash
@@ -124,8 +145,19 @@ def build_realization(gcm: GCM, custom: tuple[int, tuple, tuple] | None = None) 
     n = gcm.n
     if custom is not None:
         rank_y, coroots, roots = custom
-        coroots = tuple(tuple(int(x) for x in v) for v in coroots)
-        roots = tuple(tuple(int(x) for x in v) for v in roots)
+        try:
+            rank_y = int(rank_y)
+            coroots = tuple(tuple(int(x) for x in v) for v in coroots)
+            roots = tuple(tuple(int(x) for x in v) for v in roots)
+        except TypeError:
+            raise RealizationShape(
+                "rank_y must be an integer, coroots and roots lists of integer vectors"
+            ) from None
+        for name, vecs in (("coroots", coroots), ("roots", roots)):
+            if len(vecs) != n:
+                raise RealizationShape(f"{len(vecs)} {name} given for a rank-{n} matrix")
+            if any(len(v) != rank_y for v in vecs):
+                raise RealizationShape(f"{name} must have rank_y = {rank_y} coordinates")
         if linalg.rank(list(roots)) < n:
             raise DependentRoots()
         if linalg.rank(list(coroots)) < n:
@@ -163,20 +195,27 @@ class CorootVector:
         return all(c >= 0 for c in self.coords)
 
 
-@lru_cache(maxsize=None)
-def _coroot_rows(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    # matrix whose columns are the coroots, stored row-wise for the solver
-    return tuple(
-        tuple(datum.coroots[i][r] for i in range(datum.n)) for r in range(datum.rank_y)
-    )
-
-
 def q_coords(datum: RootDatum, v) -> CorootVector | None:
-    """Coordinates of `v` on the coroot basis, if `v` lies in the integer span."""
-    sol = linalg.integer_solution(_coroot_rows(datum), tuple(v))
-    if sol is None:
+    """Coordinates of `v` on the coroot basis, if `v` lies in the integer span.
+
+    Solves the stored independent block, x = adj . v[rows] / det, and
+    accepts x only if it is integral and reproduces every coordinate of v.
+    """
+    v = tuple(v)
+    if len(v) != datum.rank_y:
+        raise PointLengthMismatch(v, datum.rank_y)
+    rows, adj, det, cmat = datum._solver
+    sub = [v[r] for r in rows]
+    coords = []
+    for arow in adj:
+        q, rem = divmod(linalg.dot(arow, sub), det)
+        if rem:
+            return None
+        coords.append(q)
+    coords = tuple(coords)
+    if linalg.mat_vec(cmat, coords) != v:
         return None
-    return CorootVector(sol)
+    return CorootVector(coords)
 
 
 def dominance_leq(datum: RootDatum, x, y) -> bool:
@@ -315,7 +354,10 @@ def datum_from_json(data: dict) -> RootDatum:
     if "coroots" in data:
         rank_y = data.get("rank_y")
         if rank_y is None:
-            rank_y = len(data["coroots"][0])
+            try:
+                rank_y = len(data["coroots"][0])
+            except (IndexError, TypeError):
+                rank_y = 0  # build_realization rejects the shape
         return build_realization(gcm, (rank_y, data["coroots"], data["roots"]))
     return build_realization(gcm)
 

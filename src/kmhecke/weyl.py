@@ -7,11 +7,18 @@ one reduced word and the matrix of the *inverse* acting on root
 coordinates (the basis of simple roots), which makes descent tests a
 sign check on a column: i is a left descent of w iff w^{-1}(alpha_i) is
 a negative root.
+
+The projection to the dominant chamber (`dominant_representative`) is
+memoized in one bounded table keyed on (datum, point, budget), which
+`tits_cone_status` reads too.  It records the reflection word it applied
+and builds the minimal-length witness from it only when `minimizer` is
+read, so the many callers that need just the dominant point or the
+Tits-cone status do no Weyl-group multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -21,6 +28,7 @@ from .errors import (
     BudgetExceeded,
     FaceIsMinimal,
     FaceIsSpherical,
+    PointLengthMismatch,
     SimpleIndexOutOfRange,
     TitsConeUndecided,
 )
@@ -43,6 +51,7 @@ NOT_IN_TITS_CONE = "NotInTitsCone"
 UNKNOWN = "Unknown"
 
 DEFAULT_TITS_BUDGET = 1000
+PROJECTION_MEMO_SIZE = 1 << 14  # entries of the dominant-projection memo
 
 
 class WeylElement:
@@ -246,9 +255,23 @@ def bruhat_interval(u: WeylElement) -> set[WeylElement]:
 
 @dataclass(frozen=True)
 class DominantReport:
+    """The dominant point of a projection, the reflections that reach it, and its status.
+
+    `word` lists the simple reflections applied to the input, in order;
+    `minimizer` is the minimal-length w with w(dominant) = input, built
+    from that word (and so canonically re-stripped) each time it is read.
+    """
+
+    datum: RootDatum = field(repr=False)
     dominant: Point | None
-    minimizer: WeylElement | None
+    word: tuple[int, ...] | None
     status: str
+
+    @property
+    def minimizer(self) -> WeylElement | None:
+        if self.word is None:
+            return None
+        return element_from_word(self.datum, self.word)
 
 
 def _component_pairings(datum: RootDatum, comp: Component, lam) -> list[int]:
@@ -258,14 +281,20 @@ def _component_pairings(datum: RootDatum, comp: Component, lam) -> list[int]:
 def dominant_representative(
     datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET
 ) -> DominantReport:
-    """Project lam to the dominant chamber, tracking a minimal-length witness.
+    """Project lam to the dominant chamber, recording a minimal-length witness.
 
     The loop reflects at the smallest i with alpha_i(lam) < 0.  Membership
     in the Tits cone is decided exactly on finite components (always
     inside) and affine components (sign of the invariant form delta);
     indefinite components are semi-decided within `budget` steps.
     """
-    lam = tuple(lam)
+    return _project(datum, tuple(lam), budget)
+
+
+@lru_cache(maxsize=PROJECTION_MEMO_SIZE)
+def _project(datum: RootDatum, lam: Point, budget: int) -> DominantReport:
+    if len(lam) != datum.rank_y:
+        raise PointLengthMismatch(lam, datum.rank_y)
     report = classify_components(datum)
     decided = True
     for comp in report.components:
@@ -273,7 +302,7 @@ def dominant_representative(
         if comp.kind == AFFINE:
             level = linalg.dot(affine_delta(datum, comp), lam)
             if level < 0 or (level == 0 and any(v != 0 for v in vals)):
-                return DominantReport(None, None, NOT_IN_TITS_CONE)
+                return DominantReport(datum, None, None, NOT_IN_TITS_CONE)
         elif comp.kind == INDEFINITE and any(v != 0 for v in vals):
             decided = False
 
@@ -284,20 +313,14 @@ def dominant_representative(
         if i is None:
             break
         if not decided and len(applied) >= budget:
-            return DominantReport(None, None, UNKNOWN)
+            return DominantReport(datum, None, None, UNKNOWN)
         cur = reflect(datum, i, cur)
         applied.append(i)
-    minimizer = element_from_word(datum, applied)
-    return DominantReport(cur, minimizer, IN_TITS_CONE)
-
-
-@lru_cache(maxsize=None)
-def _cached_status(datum: RootDatum, lam: Point, budget: int) -> str:
-    return dominant_representative(datum, lam, budget).status
+    return DominantReport(datum, cur, tuple(applied), IN_TITS_CONE)
 
 
 def tits_cone_status(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -> str:
-    return _cached_status(datum, tuple(lam), budget)
+    return _project(datum, tuple(lam), budget).status
 
 
 def in_y_plus(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -> bool:
@@ -333,6 +356,8 @@ def orbit_enumerate(
     differs from lam by an integer coroot vector.
     """
     start = tuple(lam)
+    if len(start) != datum.rank_y:
+        raise PointLengthMismatch(start, datum.rank_y)
     seen: dict[Point, int] = {start: 0}  # point -> height offset from start
     frontier = [start]
     depth = 0

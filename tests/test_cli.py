@@ -240,3 +240,37 @@ def test_out_of_range_simple_index(capsys, a2_file, argv):
     code, out, err = run(capsys, argv[:2] + ["--datum", a2_file] + argv[2:])
     assert code == 2 and out == ""
     assert err.startswith("SimpleIndexOutOfRange: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "dominant", "--point", "1,-2,7"],
+        ["weyl", "orbit", "--point", "1,0,5"],
+        ["weyl", "dominant", "--point", "1"],
+    ],
+)
+def test_wrong_length_point(capsys, a2_file, argv):
+    code, out, err = run(capsys, argv[:2] + ["--datum", a2_file] + argv[2:])
+    assert code == 2 and out == ""
+    assert err.startswith("PointLengthMismatch: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1], [0, 1]], "roots": [[2, -1], [-1, 2]]},
+        {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1, 0], [0, 1]], "roots": [[2, -1]]},
+        {"gcm": [[2]], "rank_y": 2, "coroots": [[2]], "roots": [[1]]},
+        {"gcm": [[2]], "rank_y": 1, "coroots": [1], "roots": [[2]]},
+        {"gcm": [[2]], "coroots": 5, "roots": [[2]]},
+        {"gcm": [[2]], "coroots": [], "roots": []},
+        {"gcm": [[2]], "rank_y": [1], "coroots": [[2]], "roots": [[1]]},
+    ],
+)
+def test_custom_realization_wrong_shape(capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["weyl", "dominant", "--datum", str(path), "--point", "1,1"])
+    assert code == 2 and out == ""
+    assert err.startswith("RealizationShape: ") and err.count("\n") == 1

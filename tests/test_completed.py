@@ -168,6 +168,20 @@ class TestComputeSourceRegion:
         assert src_b.height <= 1 + diameter + 1
 
 
+    def test_length_three_commutator(self, aff):
+        """H_{010} E((0,0,1)) = E((0,0,1)) H_{010} on the height-2 cone, on affine A1."""
+        classes = param_ring_for(aff)
+        f = EFunction.single(aff, classes, D)
+        cert_e = e_function_expand(f, Region.cone([D], 0)).certificate
+        target = Region.cone([D], 2)
+        hw = TruncatedElement.from_bl(BLElement.h_word(aff, classes, (0, 1, 0)))
+        _, src_e = compute_source_region(aff, target, hw.certificate, cert_e)
+        left = mult_truncated(hw, e_function_expand(f, src_e), target)
+        src_e2, _ = compute_source_region(aff, target, cert_e, hw.certificate)
+        right = mult_truncated(e_function_expand(f, src_e2), hw, target)
+        assert left.coeffs and left.coeffs == right.coeffs
+
+
 class TestBimodule:
     def test_zero_shift_identity(self, aff):
         classes = param_ring_for(aff)

@@ -24,6 +24,27 @@ def test_solve_exact_unique_and_inconsistent():
     assert linalg.integer_solution([[2], [0]], [1, 0]) is None  # x = 1/2
 
 
+def test_det_adjugate():
+    assert linalg.det_adjugate([[2, 2], [0, 2]]) == (4, ((2, -2), (0, 2)))
+    assert linalg.det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+    assert linalg.det_adjugate([]) == (1, ())
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3
+    )
+)
+def test_det_adjugate_inverts(rows):
+    if linalg.rank(rows) < 3:
+        return
+    det, adj = linalg.det_adjugate(rows)
+    assert det != 0
+    scaled = tuple(tuple(det if i == j else 0 for j in range(3)) for i in range(3))
+    assert linalg.mat_mul(adj, tuple(map(tuple, rows))) == scaled
+    assert linalg.mat_mul(tuple(map(tuple, rows)), adj) == scaled
+
+
 def test_fm_feasible_trichotomy_cases():
     # A2 is finite type: u > 0 with Au > 0
     assert linalg.exists_positive_solution([[2, -1], [-1, 2]], "pos")

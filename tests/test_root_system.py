@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kmhecke.errors import AsymmetricZero, DiagonalNotTwo, PairingMismatch, PositiveOffDiagonal
+from kmhecke import linalg
+from kmhecke.errors import (
+    AsymmetricZero,
+    DiagonalNotTwo,
+    PairingMismatch,
+    PointLengthMismatch,
+    PositiveOffDiagonal,
+    RealizationShape,
+)
 from kmhecke.root_system import (
     AFFINE,
     FINITE,
@@ -76,6 +84,32 @@ class TestBuildRealization:
             )
 
 
+    @pytest.mark.parametrize(
+        "custom",
+        [
+            (2, [(1,)], [(1,)]),  # vectors shorter than rank_y
+            (1, [(1, 0)], [(2, 0)]),  # vectors longer than rank_y
+            (1, [(1,), (0,)], [(2,)]),  # more coroots than the matrix has rows
+            (1, [(1,)], []),  # no roots
+        ],
+    )
+    def test_wrong_shape_rejected(self, custom):
+        with pytest.raises(RealizationShape):
+            build_realization(validate_gcm([[2]]), custom)
+
+    def test_wrong_shape_from_json(self):
+        data = {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1, 0], [0, 1]], "roots": [[2, -1]]}
+        with pytest.raises(RealizationShape):
+            datum_from_json(data)
+
+
+def _det4():
+    """A1 x A1 whose coroots span an index-4 sublattice of their rational span."""
+    return build_realization(
+        validate_gcm([[2, 0], [0, 2]]), (3, [(2, 0, 0), (2, 2, 0)], [(1, -1, 0), (0, 1, 0)])
+    )
+
+
 class TestQCoords:
     def test_a2_identity_lattice(self, a2):
         q = q_coords(a2, (1, 2))
@@ -90,6 +124,43 @@ class TestQCoords:
 
     def test_extra_direction_not_in_coroot_span(self, aff):
         assert q_coords(aff, (0, 0, 1)) is None
+
+    def test_index_four_sublattice(self):
+        det4 = _det4()
+        assert abs(det4._solver[2]) == 4
+        assert q_coords(det4, (4, 2, 0)).coords == (1, 1)
+        assert q_coords(det4, (2, 1, 0)) is None  # rational coordinates (1/2, 1/2)
+        assert q_coords(det4, (1, 0, 0)) is None
+        assert q_coords(det4, (2, 2, 1)) is None  # off the rational span
+
+    def test_wrong_length_rejected(self, a2, aff):
+        with pytest.raises(PointLengthMismatch):
+            q_coords(a2, (1, 2, 3))
+        with pytest.raises(PointLengthMismatch):
+            q_coords(aff, (1, 1))
+
+    @given(data=st.data())
+    def test_matches_rational_solver(self, a1, a2, aff, chain3, mixed3, data):
+        """The stored integer solve agrees with the Fraction RREF solve, None included."""
+        datum = data.draw(st.sampled_from([a1, a2, aff, chain3, mixed3, _det4()]))
+        small = st.integers(-6, 6)
+        if data.draw(st.booleans()):
+            v = tuple(data.draw(st.lists(small, min_size=datum.rank_y, max_size=datum.rank_y)))
+        else:
+            # an integer coroot combination, scaled down by 1 or 2 and nudged
+            coeffs = data.draw(st.lists(small, min_size=datum.n, max_size=datum.n))
+            v = [sum(c * co[r] for c, co in zip(coeffs, datum.coroots)) for r in range(datum.rank_y)]
+            shrink = data.draw(st.sampled_from([1, 2]))
+            v = [x // shrink for x in v]
+            k = data.draw(st.integers(0, datum.rank_y - 1))
+            v[k] += data.draw(st.sampled_from([0, 0, 1]))
+            v = tuple(v)
+        cmat = tuple(
+            tuple(datum.coroots[i][r] for i in range(datum.n)) for r in range(datum.rank_y)
+        )
+        want = linalg.integer_solution(cmat, v)
+        got = q_coords(datum, v)
+        assert (None if got is None else got.coords) == want
 
 
 class TestDominance:

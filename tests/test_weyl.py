@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from kmhecke.errors import FaceIsMinimal, FaceIsSpherical
+from kmhecke import root_system, weyl
+from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, PointLengthMismatch
 from kmhecke.root_system import dominance_leq
 from kmhecke.weyl import (
     IN_TITS_CONE,
     NOT_IN_TITS_CONE,
+    PROJECTION_MEMO_SIZE,
     all_reduced_words,
     bruhat_leq,
     dominant_representative,
@@ -22,6 +24,7 @@ from kmhecke.weyl import (
     parabolic_elements,
     simple_reflection,
     suborbit_is_finite,
+    tits_cone_status,
 )
 
 
@@ -147,6 +150,54 @@ class TestDominantRepresentative:
             )
             assert rep.minimizer.length == best
             assert rep.minimizer.apply(rep.dominant) == lam
+
+
+class TestProjectionMemo:
+    def test_memo_is_bounded_and_alone(self):
+        assert weyl._project.cache_info().maxsize == PROJECTION_MEMO_SIZE
+        assert not hasattr(weyl, "_cached_status")
+        assert not hasattr(root_system, "_coroot_rows")
+
+    def test_memo_stays_within_its_bound(self, a1):
+        for k in range(PROJECTION_MEMO_SIZE + 10):
+            tits_cone_status(a1, (k,))
+        assert weyl._project.cache_info().currsize <= PROJECTION_MEMO_SIZE
+
+    @pytest.mark.parametrize("name", ["a2", "aff"])
+    def test_lazy_witness(self, request, name):
+        datum = request.getfixturevalue(name)
+        rng = random.Random(11)
+        seen = 0
+        for _ in range(200):
+            lam = tuple(rng.randint(-6, 6) for _ in range(datum.rank_y))
+            rep = dominant_representative(datum, lam)
+            if rep.status != IN_TITS_CONE:
+                assert rep.minimizer is None and rep.word is None
+                continue
+            seen += 1
+            w = rep.minimizer
+            assert w.apply(rep.dominant) == lam
+            # the stored word is reduced and spells the same element
+            assert element_from_word(datum, w.word).length == len(w.word) == len(rep.word)
+            assert element_from_word(datum, rep.word) == w
+        assert seen > 50
+
+    def test_repeated_call_returns_equal_report(self, aff):
+        first = dominant_representative(aff, (2, -3, 1))
+        again = dominant_representative(aff, [2, -3, 1])
+        assert again == first and again.minimizer == first.minimizer
+        assert tits_cone_status(aff, (2, -3, 1)) == first.status
+
+    def test_wrong_length_point_rejected_and_not_cached(self, a2):
+        before = weyl._project.cache_info().currsize
+        for lam in [(1, -2, 7), (1,), ()]:
+            with pytest.raises(PointLengthMismatch):
+                dominant_representative(a2, lam)
+            with pytest.raises(PointLengthMismatch):
+                tits_cone_status(a2, lam)
+            with pytest.raises(PointLengthMismatch):
+                orbit_enumerate(a2, lam)
+        assert weyl._project.cache_info().currsize == before
 
 
 class TestIndefiniteSemiDecision:
