@@ -3,32 +3,118 @@
 The 2n symbols sigma_i, sigma_i' collapse into classes: sigma_i ~ sigma_i'
 when alpha_i takes all integer values on Y, and all four symbols of i and j
 merge when a_ij = a_ji = -1 (the generators are then conjugate).  One
-canonical variable survives per class; polynomials are sparse integer maps
-keyed by exponent vectors, and every variable is invertible.
+canonical variable survives per class, and every variable is invertible.
+
+This module owns the one stored form of a polynomial: a `{packed
+exponents: int}` map with no zero entries, where `pack` writes an exponent
+vector as one integer in balanced base 2^24 digits, so multiplying
+monomials is integer addition.  `LaurentPoly` is a view over one such
+map, and the Bernstein-Lusztig product runs on the maps through
+`mul_acc`.  Exponents stay far below the 2^23 digit bound at any scale
+this package reaches.  Stored maps are never mutated; only a map its
+creator has just built is accumulated into.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import OddExponent, ZeroSpecialization
+from .errors import ExponentLengthMismatch, OddExponent, ZeroSpecialization
 from .root_system import RootDatum, alpha_image_index
 
 Exponents = tuple[int, ...]
+Packed = dict[int, int]
+
+_BITS = 24
+_BASE = 1 << _BITS
+_HALF = _BASE >> 1
+
+
+def pack(e) -> int:
+    """An integer vector as one integer, coordinate k in digit k."""
+    r = 0
+    for x in reversed(e):
+        r = r * _BASE + x
+    return r
+
+
+def unpack(r: int, n: int) -> tuple[int, ...]:
+    """The n-vector `pack` encoded as r."""
+    out = []
+    for _ in range(n):
+        d = ((r + _HALF) % _BASE) - _HALF
+        out.append(d)
+        r = (r - d) // _BASE
+    return tuple(out)
+
+
+def mul_acc(tgt: defaultdict, p: Packed, q: Packed):
+    """tgt += p * q without allocating the intermediate product.
+
+    `tgt` is a `defaultdict(int)` the caller owns and may end up holding
+    zero entries; p and q are only read.
+    """
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        ((e2, c2),) = q.items()
+        if c2 == 1:
+            for e1, c1 in p.items():
+                tgt[e1 + e2] += c1
+        else:
+            for e1, c1 in p.items():
+                tgt[e1 + e2] += c1 * c2
+        return
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            tgt[e1 + e2] += c1 * c2
+
+
+def mul(p: Packed, q: Packed) -> Packed:
+    """The product p * q as a new zero-free map."""
+    tgt: defaultdict = defaultdict(int)
+    mul_acc(tgt, p, q)
+    return {e: c for e, c in tgt.items() if c}
+
+
+def add(p: Packed, q: Packed) -> Packed:
+    """The sum p + q as a new zero-free map."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over Z; instances are never mutated."""
+    """Sparse Laurent polynomial over Z, stored as one packed map; never mutated.
 
-    __slots__ = ("nvars", "coeffs")
+    `coeffs` decodes it to a fresh `{exponent tuple: int}` map on every read.
+    """
+
+    __slots__ = ("nvars", "packed")
 
     def __init__(self, nvars: int, coeffs: dict[Exponents, int] | None = None):
-        self.nvars = nvars
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+        packed = {}
+        for e, c in (coeffs or {}).items():
+            if len(e) != nvars:
+                raise ExponentLengthMismatch(
+                    f"exponents {tuple(e)} have {len(e)} entries, the ring has {nvars} classes"
+                )
+            if c != 0:
+                packed[pack(e)] = c
+        self.nvars, self.packed = nvars, packed
 
     # --- constructors ---
+
+    @classmethod
+    def from_packed(cls, nvars: int, packed: Packed) -> "LaurentPoly":
+        """Wrap a zero-free packed map that no one mutates afterwards."""
+        poly = cls.__new__(cls)
+        poly.nvars, poly.packed = nvars, packed
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
@@ -49,30 +135,32 @@ class LaurentPoly:
 
     # --- structure ---
 
+    @property
+    def coeffs(self) -> dict[Exponents, int]:
+        n = self.nvars
+        return {unpack(e, n): c for e, c in self.packed.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.coeffs == {(0,) * self.nvars: 1}
+        return self.packed == {0: 1}
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
+        return len(self.packed) == 1
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPoly)
             and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, frozenset(self.packed.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     # --- arithmetic ---
 
@@ -82,27 +170,20 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly.from_packed(self.nvars, add(self.packed, other.packed))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return self * -1
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.nvars, {e: c * other for e, c in self.coeffs.items()})
+            terms = self.packed.items() if other else ()
+            return LaurentPoly.from_packed(self.nvars, {e: c * other for e, c in terms})
         self._check(other)
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly.from_packed(self.nvars, mul(self.packed, other.packed))
 
     __rmul__ = __mul__
 
@@ -110,11 +191,10 @@ class LaurentPoly:
         if k < 0:
             if not self.is_monomial():
                 raise ValueError("only monomials are invertible")
-            (e, c), = self.coeffs.items()
+            (e, c), = self.packed.items()
             if c not in (1, -1):
                 raise ValueError("only unit-coefficient monomials are invertible")
-            inv = LaurentPoly(self.nvars, {tuple(-x for x in e): c})
-            return inv ** (-k)
+            return LaurentPoly.from_packed(self.nvars, {-e: c}) ** (-k)
         out = LaurentPoly.const(self.nvars, 1)
         base = self
         while k:
@@ -128,8 +208,10 @@ class LaurentPoly:
         """Exact quotient self / other, or None when not divisible.
 
         Laurent exponents are first shifted to ordinary ones; division then
-        runs by lexicographic leading-term elimination, which terminates
-        because exponents are bounded below by zero.
+        runs by leading-term elimination in the order of the packed keys
+        (lexicographic from the last variable), which terminates because
+        exponents are bounded below by zero.  An exact quotient is unique,
+        so the order chosen does not change the answer.
         """
         self._check(other)
         if other.is_zero():
@@ -137,33 +219,31 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero(self.nvars)
         n = self.nvars
-        shift_f = tuple(min(e[k] for e in self.coeffs) for k in range(n))
-        shift_g = tuple(min(e[k] for e in other.coeffs) for k in range(n))
-        f = {tuple(a - s for a, s in zip(e, shift_f)): c for e, c in self.coeffs.items()}
-        g = {tuple(a - s for a, s in zip(e, shift_g)): c for e, c in other.coeffs.items()}
+        f_exps, g_exps = self.coeffs, other.coeffs
+        shift_f = pack([min(e[k] for e in f_exps) for k in range(n)])
+        shift_g = pack([min(e[k] for e in g_exps) for k in range(n)])
+        f = {e - shift_f: c for e, c in self.packed.items()}
+        g = {e - shift_g: c for e, c in other.packed.items()}
         lt_g = max(g)
         cg = g[lt_g]
-        quotient: dict[Exponents, int] = {}
+        quotient: Packed = {}
         while f:
             lt_f = max(f)
-            diff = tuple(a - b for a, b in zip(lt_f, lt_g))
-            if any(d < 0 for d in diff):
+            diff = lt_f - lt_g
+            if min(unpack(diff, n)) < 0:
                 return None
             c, rem = divmod(f[lt_f], cg)
             if rem != 0:
                 return None
-            quotient[diff] = c
+            quotient[diff + shift_f - shift_g] = c
             for e, ce in g.items():
-                key = tuple(a + b for a, b in zip(diff, e))
+                key = diff + e
                 val = f.get(key, 0) - c * ce
                 if val:
                     f[key] = val
                 else:
                     f.pop(key, None)
-        unshift = tuple(a - b for a, b in zip(shift_f, shift_g))
-        return LaurentPoly(
-            n, {tuple(a + b for a, b in zip(e, unshift)): c for e, c in quotient.items()}
-        )
+        return LaurentPoly.from_packed(n, quotient)
 
     # --- evaluation ---
 
@@ -191,10 +271,10 @@ class LaurentPoly:
     # --- rendering / serialization ---
 
     def render(self, names) -> str:
-        if not self.coeffs:
+        if not self.packed:
             return "0"
         parts = []
-        for e, c in self.items_sorted():
+        for e, c in sorted(self.coeffs.items()):
             factors = [
                 (names[k] if x == 1 else f"{names[k]}^{x}")
                 for k, x in enumerate(e)
@@ -219,7 +299,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.render([f's{k + 1}' for k in range(self.nvars)])})"
 
     def to_json(self):
-        return [[list(e), c] for e, c in self.items_sorted()]
+        return [[list(e), c] for e, c in sorted(self.coeffs.items())]
 
     @classmethod
     def from_json(cls, nvars: int, data) -> "LaurentPoly":

@@ -274,7 +274,7 @@ class TruncatedElement:
         if not gens:
             gens = {element.datum.zero()}
         cert = AFCertificate(tuple(sorted(gens)), ws, dominant=True)
-        return cls(element.datum, element.classes, None, dict(element.terms), cert)
+        return cls(element.datum, element.classes, None, element.terms, cert)
 
     def restrict(self, datum_region: Region) -> "TruncatedElement":
         coeffs = {
@@ -703,9 +703,9 @@ def center_test(
     datum, classes = a.datum, a.classes
     for p in _probe_elements(a, z_probes):
         tp = TruncatedElement.from_bl(p)
-        lhs = _accumulate_product(a, tp)
-        rhs = _accumulate_product(tp, a)
-        cands = {lam for (lam, _) in lhs.terms} | {lam for (lam, _) in rhs.terms}
+        lhs = _accumulate_product(a, tp).terms
+        rhs = _accumulate_product(tp, a).terms
+        cands = {lam for (lam, _) in lhs} | {lam for (lam, _) in rhs}
         cands |= {lam for (lam, _) in a.coeffs}
         try:
             _require_certifiable(a.certificate, u_cap, None)
@@ -715,10 +715,10 @@ def center_test(
         except (InsufficientSource, CapExceeded):
             continue
         certified = ok_l & ok_r
-        keys = {k for k in set(lhs.terms) | set(rhs.terms) if k[0] in certified}
+        keys = {k for k in set(lhs) | set(rhs) if k[0] in certified}
         for key in sorted(keys, key=lambda k: (k[0], k[1].word)):
-            cl = lhs.terms.get(key, classes.zero())
-            cr = rhs.terms.get(key, classes.zero())
+            cl = lhs.get(key, classes.zero())
+            cr = rhs.get(key, classes.zero())
             if cl != cr:
                 return CenterVerdict(
                     NOT_CENTRAL,

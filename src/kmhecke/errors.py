@@ -114,6 +114,10 @@ class ZeroSpecialization(KacMoodyError):
         super().__init__("specialization value for a parameter class must be nonzero")
 
 
+class ExponentLengthMismatch(KacMoodyError):
+    """An exponent vector whose length is not the number of parameter classes."""
+
+
 class OddExponent(KacMoodyError):
     def __init__(self):
         super().__init__("eval_sq requires all exponents even (values are given to squares)")

@@ -15,11 +15,12 @@ from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .coeff_ring import LaurentPoly, ParamClasses
-from .errors import BudgetExceeded
+from .coeff_ring import LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
+from .errors import BudgetExceeded, PointLengthMismatch
 from .root_system import Point, RootDatum
 from .weyl import (
     WeylElement,
+    element_from_word,
     identity,
     in_y_plus,
     left_descents,
@@ -32,17 +33,32 @@ Terms = dict[Key, LaurentPoly]
 
 
 class BLElement:
-    """A finite linear combination of basis symbols Z^lam H_w."""
+    """A finite linear combination of basis symbols Z^lam H_w.
 
-    __slots__ = ("datum", "classes", "terms", "_raw")
+    Stored as one map `packed`: pack(lam) * _WCAP + interned id of w to the
+    packed map of its nonzero coefficient.  `terms` decodes it on read.
+    """
+
+    __slots__ = ("datum", "classes", "packed")
 
     def __init__(self, datum: RootDatum, classes: ParamClasses, terms: Terms | None = None):
-        self.datum = datum
-        self.classes = classes
-        self.terms = {k: p for k, p in (terms or {}).items() if not p.is_zero()}
-        self._raw = None  # packed engine form, filled lazily
+        rank = datum.rank_y
+        packed = {}
+        for (lam, w), poly in (terms or {}).items():
+            if len(lam) != rank:
+                raise PointLengthMismatch(lam, rank)
+            if poly.packed:
+                packed[pack(lam) * _WCAP + _intern(datum, w)] = poly.packed
+        self.datum, self.classes, self.packed = datum, classes, packed
 
     # --- constructors ---
+
+    @classmethod
+    def from_packed(cls, datum, classes, packed: dict) -> "BLElement":
+        """Wrap a packed store of nonzero maps that no one mutates afterwards."""
+        el = cls.__new__(cls)
+        el.datum, el.classes, el.packed = datum, classes, packed
+        return el
 
     @classmethod
     def zero(cls, datum, classes) -> "BLElement":
@@ -63,14 +79,22 @@ class BLElement:
 
     @classmethod
     def h_word(cls, datum, classes, word) -> "BLElement":
-        from .weyl import element_from_word
-
         return cls.basis(datum, classes, datum.zero(), element_from_word(datum, word))
 
     # --- structure ---
 
+    @property
+    def terms(self) -> Terms:
+        rank, n = self.datum.rank_y, self.classes.nclasses
+        elems = _interner(self.datum).elems
+        out = {}
+        for k, p in self.packed.items():
+            wid = k % _WCAP
+            out[(unpack((k - wid) // _WCAP, rank), elems[wid])] = LaurentPoly.from_packed(n, p)
+        return out
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def support(self) -> set[Key]:
         return set(self.terms)
@@ -88,11 +112,11 @@ class BLElement:
         return (
             isinstance(other, BLElement)
             and self.datum == other.datum
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash(frozenset((k[0], k[1], p) for k, p in self.terms.items()))
+        return hash(frozenset((k, frozenset(p.items())) for k, p in self.packed.items()))
 
     # --- linear operations ---
 
@@ -102,19 +126,21 @@ class BLElement:
 
     def __add__(self, other: "BLElement") -> "BLElement":
         self._compat(other)
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            out[k] = out.get(k, self.classes.zero()) + p
-        return BLElement(self.datum, self.classes, out)
+        out = dict(self.packed)
+        for k, p in other.packed.items():
+            out[k] = add(out[k], p) if k in out else p
+        out = {k: p for k, p in out.items() if p}
+        return BLElement.from_packed(self.datum, self.classes, out)
 
     def __neg__(self) -> "BLElement":
-        return BLElement(self.datum, self.classes, {k: -p for k, p in self.terms.items()})
+        return self.scale(self.classes.const(-1))
 
     def __sub__(self, other: "BLElement") -> "BLElement":
         return self + (-other)
 
     def scale(self, poly: LaurentPoly) -> "BLElement":
-        return BLElement(self.datum, self.classes, {k: p * poly for k, p in self.terms.items()})
+        out = {k: pq for k, p in self.packed.items() if (pq := mul(p, poly.packed))}
+        return BLElement.from_packed(self.datum, self.classes, out)
 
     def __mul__(self, other: "BLElement") -> "BLElement":
         return mult_bl(self, other)
@@ -124,12 +150,15 @@ class BLElement:
 
     # --- rendering / serialization ---
 
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].word))
+
     def render(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         names = self.classes.names()
         parts = []
-        for (lam, w), poly in sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].word)):
+        for (lam, w), poly in self._sorted_terms():
             sym = []
             if any(lam):
                 sym.append("Z^(" + ",".join(str(x) for x in lam) + ")")
@@ -141,7 +170,7 @@ class BLElement:
                 parts.append(coeff)
             elif poly.is_one():
                 parts.append(symbol)
-            elif len(poly.coeffs) == 1 and "-" not in coeff and "+" not in coeff:
+            elif poly.is_monomial() and "-" not in coeff and "+" not in coeff:
                 parts.append(f"{coeff}·{symbol}")
             else:
                 parts.append(f"({coeff})·{symbol}")
@@ -150,15 +179,11 @@ class BLElement:
     def to_json(self):
         return [
             {"lambda": list(lam), "word": list(w.word), "coeff": poly.to_json()}
-            for (lam, w), poly in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].word)
-            )
+            for (lam, w), poly in self._sorted_terms()
         ]
 
     @classmethod
     def from_json(cls, datum, classes, data) -> "BLElement":
-        from .weyl import element_from_word
-
         terms: Terms = {}
         for entry in data:
             lam = tuple(int(x) for x in entry["lambda"])
@@ -169,122 +194,14 @@ class BLElement:
         return cls(datum, classes, terms)
 
 
-# --- packed polynomial kernel --------------------------------------------
+# --- the product kernel ---------------------------------------------------
 #
 # The product engine spends nearly all its time combining coefficient
-# polynomials.  Internally a monomial's exponent vector is packed into a
-# single integer in balanced base 2^24 digits, so multiplying monomials is
-# integer addition and coefficients are plain {int: int} dictionaries
-# accumulated in place.  LaurentPoly objects appear only at the API
-# boundary; exponents stay far below the 2^23 digit bound at any scale
-# this package reaches.  Cached tables are never mutated.
-
-_BITS = 24
-_BASE = 1 << _BITS
-_HALF = _BASE >> 1
-
-
-def _pack_exps(e) -> int:
-    r = 0
-    for x in reversed(e):
-        r = r * _BASE + x
-    return r
-
-
-def _unpack_exps(r: int, n: int):
-    out = []
-    for _ in range(n):
-        d = ((r + _HALF) % _BASE) - _HALF
-        out.append(d)
-        r = (r - d) // _BASE
-    return tuple(out)
-
-
-def _pack_poly(coeffs: dict) -> dict:
-    return {_pack_exps(e): c for e, c in coeffs.items()}
-
-
-def _unpack_poly(p: dict, n: int) -> dict:
-    return {_unpack_exps(k, n): c for k, c in p.items()}
-
-
-def _pmul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    get = out.get
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            v = get(e)
-            out[e] = c1 * c2 if v is None else v + c1 * c2
-    return out
-
-
-def _pacc(dst: dict, key, p: dict):
-    tgt = dst.get(key)
-    if tgt is None:
-        dst[key] = dict(p)
-        return
-    get = tgt.get
-    for e, c in p.items():
-        tgt[e] = get(e, 0) + c
-
-
-def _pacc_mul(dst: dict, key, p: dict, q: dict):
-    """dst[key] += p * q without allocating the intermediate product."""
-    tgt = dst.get(key)
-    if tgt is None:
-        tgt = dst[key] = defaultdict(int)
-    if len(q) == 1:
-        ((e2, c2),) = q.items()
-        if c2 == 1:
-            for e1, c1 in p.items():
-                tgt[e1 + e2] += c1
-        else:
-            for e1, c1 in p.items():
-                tgt[e1 + e2] += c1 * c2
-        return
-    if len(p) == 1:
-        _pacc_mul(dst, key, q, p)
-        return
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            tgt[e1 + e2] += c1 * c2
-
-
-def _wrap_terms(datum, classes, raw: dict) -> BLElement:
-    """Decode int-keyed engine output into proper basis keys and polynomials."""
-    n = classes.nclasses
-    rank = datum.rank_y
-    elems = _interner(datum).elems
-    terms = {}
-    clean: dict = {}
-    for k, d in raw.items():
-        d2 = {e: c for e, c in d.items() if c}
-        if not d2:
-            continue
-        wid = k % _WCAP
-        point = _unpack_exps((k - wid) // _WCAP, rank)
-        terms[(point, elems[wid])] = LaurentPoly(n, _unpack_poly(d2, n))
-        clean[k] = d2
-    el = BLElement(datum, classes, terms)
-    el._raw = clean
-    return el
-
-
-def _packed_of(el: BLElement) -> dict:
-    """The int-keyed packed form of an element, cached on the instance."""
-    raw = el._raw
-    if raw is None:
-        raw = {}
-        for (lam, w), poly in el.terms.items():
-            key = _pack_exps(lam) * _WCAP + _intern(el.datum, w)
-            raw[key] = _pack_poly(poly.coeffs)
-        el._raw = raw
-    return raw
-
-
-# Weyl elements are interned per datum so that engine states are keyed by
-# single integers: key = packed_point * _WCAP + element_id.
+# polynomials, so it runs entirely in the packed form of `coeff_ring`.
+# Weyl elements are interned per datum, so states are keyed, like element
+# stores, by single integers packed_point * _WCAP + element_id.  The
+# engine accumulates only into maps it has just created; cached tables
+# and element stores share their maps and are never mutated.
 
 _WCAP = 1 << 20
 
@@ -319,6 +236,11 @@ def _intern(datum: RootDatum, w: WeylElement) -> int:
     return wid
 
 
+def _settle(acc: dict) -> dict:
+    """Drop zero coefficients, then keys whose coefficient vanished."""
+    return {k: d for k, dz in acc.items() if (d := {e: c for e, c in dz.items() if c})}
+
+
 @lru_cache(maxsize=None)
 def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
     """H_i * Z^nu as (packed reflected point, packed window terms).
@@ -329,17 +251,17 @@ def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
     geometric expansion of the defining relation).  When sigma_i and
     sigma_i' differ the two coefficients alternate (the pairing is even).
     """
-    nu = _unpack_exps(pnu, datum.rank_y)
+    nu = unpack(pnu, datum.rank_y)
     m = datum.pairing(i, nu)
-    pco = _pack_exps(datum.coroots[i])
+    pco = pack(datum.coroots[i])
     window = []
     if m != 0:
-        c_plain = _pack_poly(classes.sigma_minus_inverse(i, primed=False).coeffs)
+        c_plain = classes.sigma_minus_inverse(i, primed=False).packed
         if classes.same_class(i):
             c_even = c_odd = c_plain
         else:
             c_even = c_plain
-            c_odd = _pack_poly(classes.sigma_minus_inverse(i, primed=True).coeffs)
+            c_odd = classes.sigma_minus_inverse(i, primed=True).packed
         if m > 0:
             for h in range(m):
                 window.append((pnu - h * pco, c_even if h % 2 == 0 else c_odd))
@@ -354,13 +276,14 @@ def commute_Hi_past_Z(
     datum: RootDatum, classes: ParamClasses, i: int, nu: Point
 ) -> BLElement:
     """H_i * Z^nu rewritten in the Z H basis (see `_commute_packed`)."""
+    if len(nu) != datum.rank_y:
+        raise PointLengthMismatch(nu, datum.rank_y)
     rid = _intern(datum, simple_reflection(datum, i))  # validates i before caching
-    prnu, window = _commute_packed(datum, classes, i, _pack_exps(tuple(nu)))
+    prnu, window = _commute_packed(datum, classes, i, pack(nu))
     eid = _intern(datum, identity(datum))
-    raw: dict = {prnu * _WCAP + rid: _pack_poly(classes.one().coeffs)}
-    for ppt, coeff in window:
-        _pacc(raw, ppt * _WCAP + eid, coeff)
-    return _wrap_terms(datum, classes, raw)
+    packed = {prnu * _WCAP + rid: classes.one().packed}
+    packed.update((ppt * _WCAP + eid, coeff) for ppt, coeff in window)
+    return BLElement.from_packed(datum, classes, packed)
 
 
 @lru_cache(maxsize=None)
@@ -368,11 +291,11 @@ def _h_times_basis_packed(datum: RootDatum, classes: ParamClasses, i: int, wid: 
     """H_i * H_w by the quadratic relation; ids and packed coefficients."""
     w = _interner(datum).elems[wid]
     riw = multiply(simple_reflection(datum, i), w)
-    one = _pack_poly(classes.one().coeffs)
+    one = classes.one().packed
     if riw.length == w.length + 1:
         return ((_intern(datum, riw), one),)
     return (
-        (wid, _pack_poly(classes.sigma_minus_inverse(i).coeffs)),
+        (wid, classes.sigma_minus_inverse(i).packed),
         (_intern(datum, riw), one),
     )
 
@@ -381,23 +304,13 @@ def _h_times_basis_packed(datum: RootDatum, classes: ParamClasses, i: int, wid: 
 def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: int):
     """H_t * H_v, peeling letters of t from the inside out."""
     t = _interner(datum).elems[tid]
-    out: dict[int, dict] = {vid: _pack_poly(classes.one().coeffs)}
+    out: dict[int, dict] = {vid: classes.one().packed}
     for i in reversed(t.word):
-        nxt: dict[int, dict] = {}
+        nxt = defaultdict(lambda: defaultdict(int))
         for wid, c in out.items():
             for wid2, c2 in _h_times_basis_packed(datum, classes, i, wid):
-                tgt = nxt.get(wid2)
-                prod = _pmul(c, c2)
-                if tgt is None:
-                    nxt[wid2] = prod
-                else:
-                    for e, cc in prod.items():
-                        tgt[e] = tgt.get(e, 0) + cc
-        out = {}
-        for wid2, d in nxt.items():
-            d = {e: c for e, c in d.items() if c}
-            if d:
-                out[wid2] = d
+                mul_acc(nxt[wid2], c, c2)
+        out = _settle(nxt)
     return tuple(out.items())
 
 
@@ -414,27 +327,27 @@ def _basis_product_packed(
     reg = _interner(datum)
     u = reg.elems[uid]
     eid = _intern(datum, identity(datum))
-    state: dict = {pmu * _WCAP + eid: _pack_poly(classes.one().coeffs)}
+    state: dict = {pmu * _WCAP + eid: classes.one().packed}
     for i in reversed(u.word):
-        nxt: dict = {}
+        nxt = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
             tid = key % _WCAP
             pnu = (key - tid) // _WCAP
             prnu, window = _commute_packed(datum, classes, i, pnu)
             base = prnu * _WCAP
             for tid3, c3 in _h_times_basis_packed(datum, classes, i, tid):
-                _pacc_mul(nxt, base + tid3, c, c3)
+                mul_acc(nxt[base + tid3], c, c3)
             for ppt, coeff in window:
-                _pacc_mul(nxt, ppt * _WCAP + tid, c, coeff)
-        state = {k: d for k, d in nxt.items() if any(d.values())}
+                mul_acc(nxt[ppt * _WCAP + tid], c, coeff)
+        state = _settle(nxt)
     if vid != eid:
-        shifted: dict = {}
+        shifted = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
             tid = key % _WCAP
             base = key - tid
             for tid2, c2 in _h_times_h_packed(datum, classes, tid, vid):
-                _pacc_mul(shifted, base + tid2, c, c2)
-        state = {k: d for k, d in shifted.items() if any(d.values())}
+                mul_acc(shifted[base + tid2], c, c2)
+        state = _settle(shifted)
     return state
 
 
@@ -442,19 +355,19 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     """Bilinear extension of the basis products."""
     a._compat(b)
     datum, classes = a.datum, a.classes
-    out: dict = {}
-    for key_a, pa in _packed_of(a).items():
+    out = defaultdict(lambda: defaultdict(int))
+    for key_a, pa in a.packed.items():
         uid = key_a % _WCAP
         shift = key_a - uid
-        for key_b, pb in _packed_of(b).items():
+        for key_b, pb in b.packed.items():
             vid = key_b % _WCAP
             base = _basis_product_packed(
                 datum, classes, uid, (key_b - vid) // _WCAP, vid
             )
-            c = _pmul(pa, pb)
+            c = mul(pa, pb)
             for key, cz in base.items():
-                _pacc_mul(out, key + shift, c, cz)
-    return _wrap_terms(datum, classes, out)
+                mul_acc(out[key + shift], c, cz)
+    return BLElement.from_packed(datum, classes, _settle(out))
 
 
 def r_window(datum: RootDatum, w: WeylElement, lam, cap: int = 10_000) -> frozenset[Point]:

@@ -147,7 +147,7 @@ def decompose_in_coset_sums(face: FaceType, element: BLElement) -> dict[CosetLab
     """
     classes = param_ring_for(face.datum)
     result: dict[CosetLabel, LaurentPoly] = {}
-    remaining = dict(element.terms)
+    remaining = element.terms
     while remaining:
         (lam, x) = min(remaining, key=lambda k: (k[0], k[1].word))
         label, pairs = double_coset(face, lam, x)

@@ -220,12 +220,14 @@ def q_coords(datum: RootDatum, v) -> CorootVector | None:
 
 def dominance_leq(datum: RootDatum, x, y) -> bool:
     """x <= y in dominance order: y - x is a nonnegative integer coroot sum."""
-    q = q_coords(datum, linalg.vec_sub(tuple(y), tuple(x)))
-    return q is not None and q.is_nonnegative()
+    return height_between(datum, x, y) is not None
 
 
 def height_between(datum: RootDatum, lo, hi) -> int | None:
     """Height of hi - lo when lo <= hi in dominance order, else None."""
+    for p in (lo, hi):  # checked here, since the subtraction below truncates
+        if len(p) != datum.rank_y:
+            raise PointLengthMismatch(p, datum.rank_y)
     q = q_coords(datum, linalg.vec_sub(tuple(hi), tuple(lo)))
     if q is None or not q.is_nonnegative():
         return None

@@ -274,3 +274,38 @@ def test_custom_realization_wrong_shape(capsys, tmp_path, data):
     code, out, err = run(capsys, ["weyl", "dominant", "--datum", str(path), "--point", "1,1"])
     assert code == 2 and out == ""
     assert err.startswith("RealizationShape: ") and err.count("\n") == 1
+
+
+def test_wrong_length_points_in_commute_and_region(capsys, tmp_path, a2_file):
+    fn = tmp_path / "efun.json"
+    fn.write_text(json.dumps([{"lambda": [1, 1]}]))
+    for argv in (
+        ["hecke", "commute", "--datum", a2_file, "--index", "0", "--point", "1,1,5"],
+        ["complete", "efun", "--datum", a2_file, str(fn), "--region-gens", "1,1,7", "--region-height", "1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("PointLengthMismatch: ") and err.count("\n") == 1
+
+
+def test_wrong_length_lambda_in_element(capsys, tmp_path, a2_file):
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps([{"lambda": [1, 2, 3, 4], "word": [], "coeff": [[[0], 1]]}]))
+    right = tmp_path / "right.json"
+    right.write_text(json.dumps([{"lambda": [0, 0], "word": [], "coeff": [[[0], 1]]}]))
+    code, out, err = run(capsys, ["hecke", "mul", "--datum", a2_file, str(left), str(right)])
+    assert code == 2 and out == ""
+    assert err.startswith("PointLengthMismatch: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exps", [[1, 0, 0], [0, 0, 5], [1]])
+def test_wrong_length_exponents_in_coefficient(capsys, tmp_path, exps):
+    datum = tmp_path / "aff.json"
+    datum.write_text(json.dumps({"gcm": [[2, -2], [-2, 2]]}))
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps([{"lambda": [0, 0, 0], "word": [], "coeff": [[exps, 1]]}]))
+    right = tmp_path / "right.json"
+    right.write_text(json.dumps([{"lambda": [0, 0, 0], "word": [], "coeff": [[[0, 0], 1]]}]))
+    code, out, err = run(capsys, ["hecke", "mul", "--datum", str(datum), str(left), str(right)])
+    assert code == 2 and out == ""
+    assert err.startswith("ExponentLengthMismatch: ") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from kmhecke.root_system import (
     datum_from_json,
     datum_to_json,
     dominance_leq,
+    height_between,
     q_coords,
     validate_gcm,
 )
@@ -169,6 +170,14 @@ class TestDominance:
 
     def test_reflexive(self, a2):
         assert dominance_leq(a2, (3, -2), (3, -2))
+
+    def test_wrong_length_rejected(self, a2):
+        # (1, 1, 7) - (0, 0) would otherwise truncate to the coroot sum (1, 1)
+        for lo, hi in (((0, 0), (1, 1, 7)), ((0, 0, 3), (1, 1)), ((0,), (1, 1))):
+            with pytest.raises(PointLengthMismatch):
+                dominance_leq(a2, lo, hi)
+            with pytest.raises(PointLengthMismatch):
+                height_between(a2, lo, hi)
 
     def test_hypothesis_partial_order(self, a2):
         rng = random.Random(7)
