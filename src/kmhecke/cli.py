@@ -22,7 +22,7 @@ from .completed import (
     mult_truncated,
     truncated_from_json,
 )
-from .errors import BudgetError, KacMoodyError
+from .errors import BudgetError, KacMoodyError, json_ints
 from .hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
 from .parahoric import (
     CosetLabel,
@@ -243,17 +243,12 @@ def _truncated_lines(datum, el: TruncatedElement):
 def _cmd_complete_efun(args):
     datum = _load_datum(args.datum)
     classes = param_ring_for(datum)
-    data = _read_json(args.function)
-    coeffs = tuple(
-        (
-            tuple(entry["lambda"]),
-            classes.one()
-            if "coeff" not in entry
-            else LaurentPoly.from_json(classes.nclasses, entry["coeff"]),
-        )
-        for entry in data
-    )
-    fun = EFunction(datum, classes, coeffs)
+    coeffs: dict = {}  # repeated weights add up
+    for entry in _read_json(args.function):
+        lam = json_ints(entry["lambda"], "a point coordinate")
+        c = LaurentPoly.from_json(classes.nclasses, entry.get("coeff", classes.one().to_json()))
+        coeffs[lam] = coeffs.get(lam, classes.zero()) + c
+    fun = EFunction(datum, classes, tuple(coeffs.items()))
     res = e_function_expand(fun, _region_from_args(args))
     _emit(res.to_json(), args.format, _truncated_lines(datum, res))
     return 0

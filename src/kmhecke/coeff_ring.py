@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExponentLengthMismatch, OddExponent, ZeroSpecialization
+from .errors import ExponentLengthMismatch, OddExponent, ZeroSpecialization, json_ints, json_value
 from .root_system import RootDatum, alpha_image_index
 
 Exponents = tuple[int, ...]
@@ -303,7 +303,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, nvars: int, data) -> "LaurentPoly":
-        return cls(nvars, {tuple(int(x) for x in e): int(c) for e, c in data})
+        """Read [[exponents, coefficient], ...]; repeated exponents add up."""
+        coeffs: dict[Exponents, int] = {}
+        for e, c in data:
+            e = json_ints(e, "an exponent")
+            coeffs[e] = coeffs.get(e, 0) + json_value(c, int, "a coefficient")
+        return cls(nvars, coeffs)
 
 
 @dataclass(frozen=True)

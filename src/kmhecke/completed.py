@@ -32,7 +32,14 @@ from dataclasses import dataclass, replace
 
 from . import linalg
 from .coeff_ring import LaurentPoly, ParamClasses
-from .errors import CapExceeded, InsufficientSource, NotDominant, TitsConeUndecided
+from .errors import (
+    CapExceeded,
+    InsufficientSource,
+    NotDominant,
+    TitsConeUndecided,
+    json_ints,
+    json_value,
+)
 from .hecke_bl import BLElement, mult_bl, r_window
 from .root_system import (
     FINITE,
@@ -48,8 +55,11 @@ from .weyl import (
     WeylElement,
     bruhat_interval,
     dominant_representative,
+    element_from_word,
     identity,
     in_y_plus,
+    left_descents,
+    left_mul,
     multiply,
     orbit_enumerate,
     orbit_is_finite,
@@ -141,11 +151,11 @@ class Region:
     @classmethod
     def from_json(cls, data) -> "Region":
         if "points" in data:
-            return cls.explicit(tuple(tuple(p) for p in data["points"]))
+            return cls.explicit(tuple(json_ints(p, "a point coordinate") for p in data["points"]))
         return cls.cone(
-            tuple(tuple(g) for g in data["gens"]),
-            int(data["height"]),
-            bool(data.get("require_tits", True)),
+            tuple(json_ints(g, "a generator coordinate") for g in data["gens"]),
+            json_value(data["height"], int, "a region height"),
+            json_value(data.get("require_tits", True), bool, "require_tits"),
         )
 
 
@@ -309,22 +319,19 @@ class TruncatedElement:
 
 
 def truncated_from_json(datum: RootDatum, classes: ParamClasses, data) -> TruncatedElement:
-    from .weyl import element_from_word
-
+    """Read `TruncatedElement.to_json` output; the coefficients are read as a `BLElement`."""
     region = None if data.get("region") is None else Region.from_json(data["region"])
     cert_data = data["certificate"]
     cert = AFCertificate(
-        tuple(tuple(g) for g in cert_data["gens"]),
-        tuple(element_from_word(datum, w) for w in cert_data["w_part"]),
-        bool(cert_data.get("dominant", False)),
+        tuple(json_ints(g, "a generator coordinate") for g in cert_data["gens"]),
+        tuple(
+            element_from_word(datum, json_ints(w, "a word letter")) for w in cert_data["w_part"]
+        ),
+        json_value(cert_data.get("dominant", False), bool, "dominant"),
     )
-    coeffs = {}
-    for entry in data["coeffs"]:
-        key = (tuple(entry["lambda"]), element_from_word(datum, entry["word"]))
-        coeffs[key] = LaurentPoly.from_json(classes.nclasses, entry["coeff"])
-    return TruncatedElement(
-        datum, classes, region, coeffs, cert, bool(data.get("in_bl_bar", False))
-    )
+    coeffs = BLElement.from_json(datum, classes, data["coeffs"]).terms
+    in_bl_bar = json_value(data.get("in_bl_bar", False), bool, "in_bl_bar")
+    return TruncatedElement(datum, classes, region, coeffs, cert, in_bl_bar)
 
 
 # --- the product's certification engine ---
@@ -368,10 +375,8 @@ def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas, cap: in
         if not v.word:
             results.add(x)
             return
-        from .weyl import left_descents, simple_reflection
-
         for i in left_descents(v):
-            rest = multiply(simple_reflection(datum, i), v)
+            rest = left_mul(i, v)
             m = datum.pairing(i, x)
             co = datum.coroots[i]
             # x' = x + j co with x on the segment [x', r_i x'].  Every chain

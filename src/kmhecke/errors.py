@@ -1,4 +1,4 @@
-"""Exception hierarchy for the whole package.
+"""Exception hierarchy for the whole package, and the checks of JSON values.
 
 Domain failures (bad input, undefined operation) are distinct from budget
 exhaustion (an enumeration hit a caller-supplied cap before closing); the
@@ -50,6 +50,26 @@ class PointLengthMismatch(KacMoodyError):
         super().__init__(
             f"point {self.point} has {len(self.point)} coordinates, the lattice has rank {rank_y}"
         )
+
+
+# --- JSON input ---
+
+class InvalidJSONValue(KacMoodyError):
+    """A JSON value that is not the integer or boolean the format requires."""
+
+
+def json_value(value, kind: type, what: str):
+    """`value` if its type is exactly `kind`: JSON 1.5 and true are no int, "false" no bool."""
+    if type(value) is not kind:
+        raise InvalidJSONValue(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """A JSON list of integers (a point, a word or an exponent vector) as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidJSONValue(f"{what} must be a list of int, got {values!r}")
+    return tuple(json_value(v, int, what) for v in values)
 
 
 # --- realizations ---

@@ -16,17 +16,19 @@ from functools import lru_cache
 
 from . import linalg
 from .coeff_ring import LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
-from .errors import BudgetExceeded, PointLengthMismatch
+from .errors import BudgetExceeded, PointLengthMismatch, json_ints
 from .root_system import Point, RootDatum
 from .weyl import (
+    ID_CAP,
     WeylElement,
     element_from_word,
     identity,
     in_y_plus,
     left_descents,
-    multiply,
+    left_mul,
     simple_reflection,
 )
+from .weyl import STORES as _INTERNERS  # the traced benchmark reads this name
 
 Key = tuple[Point, WeylElement]
 Terms = dict[Key, LaurentPoly]
@@ -35,8 +37,8 @@ Terms = dict[Key, LaurentPoly]
 class BLElement:
     """A finite linear combination of basis symbols Z^lam H_w.
 
-    Stored as one map `packed`: pack(lam) * _WCAP + interned id of w to the
-    packed map of its nonzero coefficient.  `terms` decodes it on read.
+    Stored as one map `packed`: pack(lam) * ID_CAP + the store id of w to
+    the packed map of its nonzero coefficient.  `terms` decodes it on read.
     """
 
     __slots__ = ("datum", "classes", "packed")
@@ -47,8 +49,10 @@ class BLElement:
         for (lam, w), poly in (terms or {}).items():
             if len(lam) != rank:
                 raise PointLengthMismatch(lam, rank)
+            if w.datum != datum:  # ids number the elements of one datum's store
+                raise ValueError("element belongs to a different root datum")
             if poly.packed:
-                packed[pack(lam) * _WCAP + _intern(datum, w)] = poly.packed
+                packed[pack(lam) * ID_CAP + w.id] = poly.packed
         self.datum, self.classes, self.packed = datum, classes, packed
 
     # --- constructors ---
@@ -86,11 +90,11 @@ class BLElement:
     @property
     def terms(self) -> Terms:
         rank, n = self.datum.rank_y, self.classes.nclasses
-        elems = _interner(self.datum).elems
+        elems = _INTERNERS[self.datum].elems
         out = {}
         for k, p in self.packed.items():
-            wid = k % _WCAP
-            out[(unpack((k - wid) // _WCAP, rank), elems[wid])] = LaurentPoly.from_packed(n, p)
+            wid = k % ID_CAP
+            out[(unpack((k - wid) // ID_CAP, rank), elems[wid])] = LaurentPoly.from_packed(n, p)
         return out
 
     def is_zero(self) -> bool:
@@ -186,8 +190,8 @@ class BLElement:
     def from_json(cls, datum, classes, data) -> "BLElement":
         terms: Terms = {}
         for entry in data:
-            lam = tuple(int(x) for x in entry["lambda"])
-            w = element_from_word(datum, entry["word"])
+            lam = json_ints(entry["lambda"], "a point coordinate")
+            w = element_from_word(datum, json_ints(entry["word"], "a word letter"))
             poly = LaurentPoly.from_json(classes.nclasses, entry["coeff"])
             key = (lam, w)
             terms[key] = terms.get(key, classes.zero()) + poly
@@ -198,42 +202,10 @@ class BLElement:
 #
 # The product engine spends nearly all its time combining coefficient
 # polynomials, so it runs entirely in the packed form of `coeff_ring`.
-# Weyl elements are interned per datum, so states are keyed, like element
-# stores, by single integers packed_point * _WCAP + element_id.  The
-# engine accumulates only into maps it has just created; cached tables
-# and element stores share their maps and are never mutated.
-
-_WCAP = 1 << 20
-
-
-class _Interner:
-    __slots__ = ("ids", "elems")
-
-    def __init__(self):
-        self.ids: dict[WeylElement, int] = {}
-        self.elems: list[WeylElement] = []
-
-
-_INTERNERS: dict[RootDatum, _Interner] = {}
-
-
-def _interner(datum: RootDatum) -> _Interner:
-    reg = _INTERNERS.get(datum)
-    if reg is None:
-        reg = _INTERNERS[datum] = _Interner()
-    return reg
-
-
-def _intern(datum: RootDatum, w: WeylElement) -> int:
-    reg = _interner(datum)
-    wid = reg.ids.get(w)
-    if wid is None:
-        wid = len(reg.elems)
-        if wid >= _WCAP:
-            raise BudgetExceeded(_WCAP, "interned Weyl elements")
-        reg.ids[w] = wid
-        reg.elems.append(w)
-    return wid
+# Weyl elements are numbered by the store of `weyl`, so states are keyed,
+# like element stores, by single integers packed_point * ID_CAP + element
+# id.  The engine accumulates only into maps it has just created; cached
+# tables and element stores share their maps and are never mutated.
 
 
 def _settle(acc: dict) -> dict:
@@ -278,37 +250,32 @@ def commute_Hi_past_Z(
     """H_i * Z^nu rewritten in the Z H basis (see `_commute_packed`)."""
     if len(nu) != datum.rank_y:
         raise PointLengthMismatch(nu, datum.rank_y)
-    rid = _intern(datum, simple_reflection(datum, i))  # validates i before caching
+    rid = simple_reflection(datum, i).id  # validates i before caching
     prnu, window = _commute_packed(datum, classes, i, pack(nu))
-    eid = _intern(datum, identity(datum))
-    packed = {prnu * _WCAP + rid: classes.one().packed}
-    packed.update((ppt * _WCAP + eid, coeff) for ppt, coeff in window)
+    packed = {prnu * ID_CAP + rid: classes.one().packed}
+    packed.update((ppt * ID_CAP, coeff) for ppt, coeff in window)
     return BLElement.from_packed(datum, classes, packed)
 
 
-@lru_cache(maxsize=None)
-def _h_times_basis_packed(datum: RootDatum, classes: ParamClasses, i: int, wid: int):
-    """H_i * H_w by the quadratic relation; ids and packed coefficients."""
-    w = _interner(datum).elems[wid]
-    riw = multiply(simple_reflection(datum, i), w)
-    one = classes.one().packed
-    if riw.length == w.length + 1:
-        return ((_intern(datum, riw), one),)
-    return (
-        (wid, classes.sigma_minus_inverse(i).packed),
-        (_intern(datum, riw), one),
-    )
+def _h_times_basis_packed(i: int, w: WeylElement, one: dict, smi: dict):
+    """H_i * H_w as (id, packed coefficient) pairs; `smi` is sigma_i - sigma_i^{-1}."""
+    riw = left_mul(i, w)
+    if riw.length > w.length:
+        return ((riw.id, one),)
+    return ((w.id, smi), (riw.id, one))
 
 
 @lru_cache(maxsize=None)
 def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: int):
     """H_t * H_v, peeling letters of t from the inside out."""
-    t = _interner(datum).elems[tid]
-    out: dict[int, dict] = {vid: classes.one().packed}
-    for i in reversed(t.word):
+    elems = _INTERNERS[datum].elems
+    one = classes.one().packed
+    out: dict[int, dict] = {vid: one}
+    for i in reversed(elems[tid].word):
+        smi = classes.sigma_minus_inverse(i).packed
         nxt = defaultdict(lambda: defaultdict(int))
         for wid, c in out.items():
-            for wid2, c2 in _h_times_basis_packed(datum, classes, i, wid):
+            for wid2, c2 in _h_times_basis_packed(i, elems[wid], one, smi):
                 mul_acc(nxt[wid2], c, c2)
         out = _settle(nxt)
     return tuple(out.items())
@@ -320,30 +287,30 @@ def _basis_product_packed(
 ):
     """H_u * Z^mu H_v, peeling one letter of u at a time.
 
-    States are keyed packed_point * _WCAP + element_id; the whole walk is
-    integer arithmetic.  Window terms carry the identity Weyl part, so
-    only the reflected term needs a quadratic-relation fold.
+    States are keyed packed_point * ID_CAP + element_id; the whole walk is
+    integer arithmetic.  Window terms carry the identity Weyl part (id 0),
+    so only the reflected term needs a quadratic-relation fold.
     """
-    reg = _interner(datum)
-    u = reg.elems[uid]
-    eid = _intern(datum, identity(datum))
-    state: dict = {pmu * _WCAP + eid: classes.one().packed}
-    for i in reversed(u.word):
+    elems = _INTERNERS[datum].elems
+    one = classes.one().packed
+    state: dict = {pmu * ID_CAP: one}
+    for i in reversed(elems[uid].word):
+        smi = classes.sigma_minus_inverse(i).packed
         nxt = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
-            tid = key % _WCAP
-            pnu = (key - tid) // _WCAP
+            tid = key % ID_CAP
+            pnu = (key - tid) // ID_CAP
             prnu, window = _commute_packed(datum, classes, i, pnu)
-            base = prnu * _WCAP
-            for tid3, c3 in _h_times_basis_packed(datum, classes, i, tid):
+            base = prnu * ID_CAP
+            for tid3, c3 in _h_times_basis_packed(i, elems[tid], one, smi):
                 mul_acc(nxt[base + tid3], c, c3)
             for ppt, coeff in window:
-                mul_acc(nxt[ppt * _WCAP + tid], c, coeff)
+                mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
         state = _settle(nxt)
-    if vid != eid:
+    if vid != 0:
         shifted = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
-            tid = key % _WCAP
+            tid = key % ID_CAP
             base = key - tid
             for tid2, c2 in _h_times_h_packed(datum, classes, tid, vid):
                 mul_acc(shifted[base + tid2], c, c2)
@@ -357,12 +324,12 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     datum, classes = a.datum, a.classes
     out = defaultdict(lambda: defaultdict(int))
     for key_a, pa in a.packed.items():
-        uid = key_a % _WCAP
+        uid = key_a % ID_CAP
         shift = key_a - uid
         for key_b, pb in b.packed.items():
-            vid = key_b % _WCAP
+            vid = key_b % ID_CAP
             base = _basis_product_packed(
-                datum, classes, uid, (key_b - vid) // _WCAP, vid
+                datum, classes, uid, (key_b - vid) // ID_CAP, vid
             )
             c = mul(pa, pb)
             for key, cz in base.items():
@@ -390,7 +357,7 @@ def r_window(datum: RootDatum, w: WeylElement, lam, cap: int = 10_000) -> frozen
         else:
             pts: set[Point] = set()
             for i in left_descents(v):
-                inner = rec(multiply(simple_reflection(datum, i), v))
+                inner = rec(left_mul(i, v))
                 for x in inner:
                     pts.update(segment(i, x))
             res = frozenset(pts)

@@ -31,14 +31,12 @@ from .weyl import (
     dominant_representative,
     element_from_word,
     face_point,
-    identity,
     infinite_orbit_witness,
     inverse,
     multiply,
     parabolic_elements,
     parabolic_is_finite,
     reflect,
-    simple_reflection,
 )
 
 

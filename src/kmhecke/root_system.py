@@ -250,12 +250,6 @@ class Component:
 class ComponentReport:
     components: tuple[Component, ...]
 
-    def component_of(self, i: int) -> Component:
-        for comp in self.components:
-            if i in comp.indices:
-                return comp
-        raise IndexError(i)
-
     @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(c.kind for c in self.components)

@@ -1,12 +1,17 @@
 """Weyl group elements, length combinatorics, orbits and Tits-cone tests.
 
-An element is canonically the integer matrix of its action on Y; the
-restriction of that action to the coroot span is faithful, so matrix
-equality is group equality.  Alongside the matrix each element carries
-one reduced word and the matrix of the *inverse* acting on root
-coordinates (the basis of simple roots), which makes descent tests a
-sign check on a column: i is a left descent of w iff w^{-1}(alpha_i) is
-a negative root.
+Each datum has one element store, `STORES[datum]`, that creates every
+element once, with a small integer id (its index; the identity is 0) by
+which the Hecke-algebra kernel keys its tables.  An element carries its
+integer matrix on Y (the action is faithful), its canonical reduced word
+and the matrix of its *inverse* on root coordinates, which makes descent
+tests a sign check on a column: i is a left descent of w iff
+w^{-1}(alpha_i) is a negative root.
+
+Every product is a fold over a word of one memoized left multiplication,
+`left_mul(i, w) = r_i w`; only a miss multiplies matrices, and only a new
+element has its word stripped by descents.  Stores are never emptied, so
+`ID_CAP` (2^20 elements per datum) holds for the life of the process.
 
 The projection to the dominant chamber (`dominant_representative`) is
 memoized in one bounded table keyed on (datum, point, budget), which
@@ -52,33 +57,36 @@ UNKNOWN = "Unknown"
 
 DEFAULT_TITS_BUDGET = 1000
 PROJECTION_MEMO_SIZE = 1 << 14  # entries of the dominant-projection memo
+ID_CAP = 1 << 20  # element ids per datum, for the life of the process
 
 
 class WeylElement:
-    """A Weyl group element; equality and hashing go through the Y-matrix."""
+    """A Weyl group element; its store builds one object per element, so equality is identity.
 
-    __slots__ = ("datum", "matrix", "word", "qinv", "_hash")
+    Hashing the Y-matrix keeps set orders independent of creation order.
+    """
 
-    def __init__(self, datum: RootDatum, matrix, word, qinv):
+    __slots__ = ("datum", "matrix", "word", "qinv", "id", "_left", "_hash")
+
+    def __init__(self, datum: RootDatum, matrix, word, qinv, wid: int):
         self.datum = datum
         self.matrix = matrix
         self.word = word
         self.qinv = qinv  # root-coordinate matrix of the inverse element
+        self.id = wid
+        self._left: dict[int, WeylElement] = {}  # i -> r_i * self, filled by left_mul
         self._hash = hash(matrix)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.matrix == other.matrix
-            and self.datum == other.datum
-        )
-
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # a copy or an unpickled element resolves to the receiving store's object
+        return element_from_word, (self.datum, self.word)
 
     def __repr__(self):
         if not self.word:
@@ -88,52 +96,46 @@ class WeylElement:
     def apply(self, v) -> Point:
         return linalg.mat_vec(self.matrix, tuple(v))
 
-    def is_identity(self) -> bool:
-        return all(
-            self.matrix[r][c] == (1 if r == c else 0)
-            for r in range(len(self.matrix))
-            for c in range(len(self.matrix))
+
+class ElementStore:
+    """The Weyl elements of one datum created so far, by id and by Y-matrix."""
+
+    __slots__ = ("elems", "by_matrix")
+
+    def __init__(self, datum: RootDatum):
+        e = WeylElement(
+            datum, linalg.identity_matrix(datum.rank_y), (), linalg.identity_matrix(datum.n), 0
         )
+        self.elems = [e]
+        self.by_matrix = {e.matrix: e}
 
 
-@lru_cache(maxsize=None)
-def _reflection_matrix(datum: RootDatum, i: int):
-    co, ro = datum.coroots[i], datum.roots[i]
-    m = datum.rank_y
+class _Stores(dict):
+    def __missing__(self, datum: RootDatum) -> ElementStore:
+        store = self[datum] = ElementStore(datum)
+        return store
+
+
+STORES: dict[RootDatum, ElementStore] = _Stores()
+
+
+def _reflect_y(datum: RootDatum, i: int, matrix):
+    """r_i times a Y-matrix: each column v becomes v - alpha_i(v) alpha_i^v."""
+    pairs = [datum.pairing(i, col) for col in zip(*matrix)]
     return tuple(
-        tuple((1 if r == c else 0) - co[r] * ro[c] for c in range(m)) for r in range(m)
+        tuple(m - c * p for m, p in zip(row, pairs)) for row, c in zip(matrix, datum.coroots[i])
     )
 
 
-@lru_cache(maxsize=None)
-def _q_reflection_matrix(datum: RootDatum, i: int):
-    # action on root coordinates: r_i(alpha_j) = alpha_j - a_{ij} alpha_i
-    n = datum.n
-    a = datum.gcm.entries
-    return tuple(
-        tuple((1 if r == c else 0) - (a[i][c] if r == i else 0) for c in range(n))
-        for r in range(n)
-    )
+def _reflect_q(datum: RootDatum, i: int, qmat):
+    """A root-coordinate matrix times r_i, which maps alpha_j to alpha_j - a_ij alpha_i."""
+    a = datum.gcm.entries[i]
+    return tuple(tuple(q - row[i] * aic for q, aic in zip(row, a)) for row in qmat)
 
 
 def reflect(datum: RootDatum, i: int, v) -> Point:
     v = tuple(v)
     return linalg.vec_sub(v, linalg.vec_scale(datum.pairing(i, v), datum.coroots[i]))
-
-
-def identity(datum: RootDatum) -> WeylElement:
-    return WeylElement(
-        datum,
-        linalg.identity_matrix(datum.rank_y),
-        (),
-        linalg.identity_matrix(datum.n),
-    )
-
-
-def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
-    if not 0 <= i < datum.n:
-        raise SimpleIndexOutOfRange(i, datum.n)
-    return WeylElement(datum, _reflection_matrix(datum, i), (i,), _q_reflection_matrix(datum, i))
 
 
 def _column_nonpositive(mat, col: int) -> bool:
@@ -166,36 +168,60 @@ def _strip_word(datum: RootDatum, qinv, limit: int) -> tuple[int, ...]:
             raise AssertionError("non-identity element without left descent")
         i = ds[0]
         word.append(i)
-        cur = linalg.mat_mul(cur, _q_reflection_matrix(datum, i))
+        cur = _reflect_q(datum, i, cur)
     raise AssertionError("descent stripping did not terminate within the length bound")
 
 
+def left_mul(i: int, w: WeylElement) -> WeylElement:
+    """The element r_i w, memoized on w; a miss is the only place a product is computed."""
+    x = w._left.get(i)
+    if x is not None:
+        return x
+    datum = w.datum
+    if not 0 <= i < datum.n:
+        raise SimpleIndexOutOfRange(i, datum.n)
+    store = STORES[datum]
+    matrix = _reflect_y(datum, i, w.matrix)
+    x = store.by_matrix.get(matrix)
+    if x is None:
+        wid = len(store.elems)
+        if wid >= ID_CAP:
+            raise BudgetExceeded(ID_CAP, "Weyl elements of one root datum")
+        qinv = _reflect_q(datum, i, w.qinv)
+        x = WeylElement(datum, matrix, _strip_word(datum, qinv, w.length + 1), qinv, wid)
+        store.elems.append(x)
+        store.by_matrix[matrix] = x
+    w._left[i] = x
+    x._left[i] = w  # r_i r_i w = w
+    return x
+
+
+def identity(datum: RootDatum) -> WeylElement:
+    return STORES[datum].elems[0]
+
+
+def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
+    return left_mul(i, identity(datum))
+
+
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Group product with an exact reduced word recomputed by descent stripping."""
+    """Group product: the letters of a's word applied to b by `left_mul`."""
     if a.datum != b.datum:
         raise ValueError("elements belong to different root data")
-    matrix = linalg.mat_mul(a.matrix, b.matrix)
-    qinv = linalg.mat_mul(b.qinv, a.qinv)
-    word = _strip_word(a.datum, qinv, a.length + b.length)
-    return WeylElement(a.datum, matrix, word, qinv)
+    for i in reversed(a.word):
+        b = left_mul(i, b)
+    return b
 
 
 def element_from_word(datum: RootDatum, word) -> WeylElement:
     w = identity(datum)
-    for i in word:
-        w = multiply(w, simple_reflection(datum, i))
+    for i in reversed(tuple(word)):
+        w = left_mul(i, w)
     return w
 
 
 def inverse(w: WeylElement) -> WeylElement:
     return element_from_word(w.datum, tuple(reversed(w.word)))
-
-
-def _q_matrix_of_word(datum: RootDatum, word):
-    m = linalg.identity_matrix(datum.n)
-    for i in word:
-        m = linalg.mat_mul(m, _q_reflection_matrix(datum, i))
-    return m
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -209,45 +235,39 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         raise ValueError("elements belong to different root data")
     if u.length > w.length:
         return False
-    qu = _q_matrix_of_word(u.datum, u.word)
-    remaining = u.length
+    x = inverse(u)  # the right descents of u are the left descents of x
     for i in reversed(w.word):
-        if remaining == 0:
+        if not x.word:
             return True
-        if _column_nonpositive(qu, i):
-            qu = linalg.mat_mul(qu, _q_reflection_matrix(u.datum, i))
-            remaining -= 1
-    return remaining == 0
+        if _column_nonpositive(x.qinv, i):
+            x = left_mul(i, x)
+    return not x.word
 
 
 def all_reduced_words(w: WeylElement, cap: int = 10_000) -> set[tuple[int, ...]]:
     """Every reduced word of w, by branching over left descents."""
-    datum = w.datum
-    ident = linalg.identity_matrix(datum.n)
     out: set[tuple[int, ...]] = set()
 
-    def rec(qinv, prefix):
+    def rec(x, prefix):
         if len(out) >= cap:
             raise BudgetExceeded(cap, "reduced word enumeration")
-        if qinv == ident:
+        if not x.word:
             out.add(tuple(prefix))
             return
-        for i in _left_descents_of_qinv(datum, qinv):
+        for i in left_descents(x):
             prefix.append(i)
-            rec(linalg.mat_mul(qinv, _q_reflection_matrix(datum, i)), prefix)
+            rec(left_mul(i, x), prefix)
             prefix.pop()
 
-    rec(w.qinv, [])
+    rec(w, [])
     return out
 
 
 def bruhat_interval(u: WeylElement) -> set[WeylElement]:
     """The full interval [1, u]: all products of subwords of one reduced word."""
-    datum = u.datum
-    elems = {identity(datum)}
-    for i in u.word:
-        r = simple_reflection(datum, i)
-        elems |= {multiply(x, r) for x in elems}
+    elems = {identity(u.datum)}
+    for i in reversed(u.word):
+        elems |= {left_mul(i, x) for x in elems}
     return elems
 
 
@@ -452,14 +472,14 @@ def suborbit_is_finite(datum: RootDatum, j: tuple[int, ...], v) -> bool:
 
 def parabolic_elements(datum: RootDatum, j: tuple[int, ...], cap: int = 100_000) -> list[WeylElement]:
     """All elements of a finite standard parabolic W_J, by closure."""
-    gens = [simple_reflection(datum, i) for i in sorted(set(j))]
+    gens = sorted(set(j))
     elems = {identity(datum)}
     frontier = list(elems)
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = multiply(x, g)
+            for i in gens:
+                y = left_mul(i, x)
                 if y not in elems:
                     if len(elems) >= cap:
                         raise BudgetExceeded(cap, "parabolic subgroup closure")
@@ -575,11 +595,11 @@ def infinite_orbit_witness(
     while m < len(path) - 1:
         i = path[m]
         x = reflect(datum, i, x)
-        w = multiply(simple_reflection(datum, i), w)
+        w = left_mul(i, w)
         m = stage(x)
     assert datum.pairing(k, x) != 0
     if suborbit_is_finite(datum, j_zero, x):
-        w = multiply(simple_reflection(datum, k), w)
+        w = left_mul(k, w)
         x = reflect(datum, k, x)
     if suborbit_is_finite(datum, j_zero, x):
         raise AssertionError("one of the two candidates must have infinite orbit")
@@ -590,12 +610,3 @@ def infinite_orbit_witness(
 
 def weyl_to_json(w: WeylElement) -> dict:
     return {"word": list(w.word), "matrix": [list(r) for r in w.matrix]}
-
-
-def weyl_from_json(datum: RootDatum, data: dict) -> WeylElement:
-    w = element_from_word(datum, data["word"])
-    if "matrix" in data:
-        given = tuple(tuple(int(x) for x in row) for row in data["matrix"])
-        if given != w.matrix:
-            raise ValueError("matrix does not match the word")
-    return w

@@ -309,3 +309,76 @@ def test_wrong_length_exponents_in_coefficient(capsys, tmp_path, exps):
     code, out, err = run(capsys, ["hecke", "mul", "--datum", str(datum), str(left), str(right)])
     assert code == 2 and out == ""
     assert err.startswith("ExponentLengthMismatch: ") and err.count("\n") == 1
+
+
+def _finite_factor(lam_entries, dominant=True):
+    return {
+        "region": None,
+        "certificate": {"gens": [[1, 0]], "w_part": [[]], "dominant": dominant},
+        "coeffs": [{"lambda": lam, "word": [], "coeff": [[[0], c]]} for lam, c in lam_entries],
+        "in_bl_bar": False,
+    }
+
+
+def test_repeated_exponents_sum(capsys, tmp_path, a2_file):
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps([{"lambda": [0, 0], "word": [], "coeff": [[[1], 1], [[1], 2]]}]))
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps([{"lambda": [0, 0], "word": [], "coeff": [[[0], 1]]}]))
+    code, out, _ = run(capsys, ["hecke", "mul", "--datum", a2_file, str(left), str(unit)])
+    assert code == 0 and out.strip() == "3·σ"
+
+
+def test_repeated_truncated_entries_sum(capsys, tmp_path, a2_file):
+    fin = tmp_path / "finite.json"
+    fin.write_text(json.dumps(_finite_factor([([1, 0], 1), ([1, 0], 2)])))
+    tunit = tmp_path / "tunit.json"
+    tunit.write_text(json.dumps(_finite_factor([([0, 0], 1)])))
+    code, out, _ = run(
+        capsys,
+        ["complete", "mul", "--datum", a2_file, str(fin), str(tunit),
+         "--region-gens", "1,0", "--region-height", "0"],
+    )
+    assert code == 0 and out.strip() == "1,0 | e | 3"
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("hecke", [{"lambda": [1.7, 0], "word": [], "coeff": [[[0], 1]]}]),
+        ("hecke", [{"lambda": [0, 0], "word": [0.0], "coeff": [[[0], 1]]}]),
+        ("hecke", [{"lambda": [0, 0], "word": [], "coeff": [[[0], 1.5]]}]),
+        ("hecke", [{"lambda": [0, 0], "word": [], "coeff": [[[True], 1]]}]),
+        ("mul", _finite_factor([([1.5, 0], 1)])),
+        ("center", _finite_factor([([1.5, 0], 1)])),
+        ("center", _finite_factor([([1, 0], 1)], dominant="false")),
+        ("center", {**_finite_factor([([1, 0], 1)]), "in_bl_bar": 0}),
+        ("center", {**_finite_factor([([1, 0], 1)]), "region": {"gens": [[1, 0]], "height": 2.5}}),
+        (
+            "center",
+            {**_finite_factor([([1, 0], 1)]),
+             "region": {"gens": [[1, 0]], "height": 2, "require_tits": "no"}},
+        ),
+        ("center", {**_finite_factor([([1, 0], 1)]), "region": {"points": [[1, False]]}}),
+        ("efun", [{"lambda": [1.5, 0]}]),
+    ],
+)
+def test_non_integer_json_values_refused(capsys, tmp_path, a2_file, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    unit = tmp_path / "unit.json"
+    if command == "hecke":
+        unit.write_text(json.dumps([{"lambda": [0, 0], "word": [], "coeff": [[[0], 1]]}]))
+        argv = ["hecke", "mul", "--datum", a2_file, str(path), str(unit)]
+    elif command == "mul":
+        unit.write_text(json.dumps(_finite_factor([([0, 0], 1)])))
+        argv = ["complete", "mul", "--datum", a2_file, str(path), str(unit),
+                "--region-gens", "1,0", "--region-height", "0"]
+    elif command == "center":
+        argv = ["complete", "center", "--datum", a2_file, str(path)]
+    else:
+        argv = ["complete", "efun", "--datum", a2_file, str(path),
+                "--region-gens", "1,1", "--region-height", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("InvalidJSONValue: ") and err.count("\n") == 1

@@ -243,7 +243,7 @@ def test_cached_tables_survive_element_arithmetic(aff):
     elements = [commute_Hi_past_Z(aff, classes, i, nu) for i in (0, 1) for nu in points]
     h01 = element_from_word(aff, (0, 1))
     h10 = element_from_word(aff, (1, 0))
-    ids = [hecke_bl._intern(aff, w) for w in (h01, h10)]
+    ids = [w.id for w in (h01, h10)]
     hh_args = [(aff, classes, t, v) for t in ids for v in ids]
     cached = [hecke_bl._commute_packed(*a) for a in commute_args]
     cached += [hecke_bl._h_times_h_packed(*a) for a in hh_args]
