@@ -22,7 +22,7 @@ from .completed import (
     mult_truncated,
     truncated_from_json,
 )
-from .errors import BudgetError, KacMoodyError, json_ints
+from .errors import BudgetError, KacMoodyError, json_ints, json_value
 from .hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
 from .parahoric import (
     CosetLabel,
@@ -244,7 +244,8 @@ def _cmd_complete_efun(args):
     datum = _load_datum(args.datum)
     classes = param_ring_for(datum)
     coeffs: dict = {}  # repeated weights add up
-    for entry in _read_json(args.function):
+    for entry in json_value(_read_json(args.function), list, "an E-function"):
+        entry = json_value(entry, dict, "an E-function term")
         lam = json_ints(entry["lambda"], "a point coordinate")
         c = LaurentPoly.from_json(classes.nclasses, entry.get("coeff", classes.one().to_json()))
         coeffs[lam] = coeffs.get(lam, classes.zero()) + c
@@ -296,13 +297,16 @@ def _cmd_parahoric_coset(args):
     return 0
 
 
+def _coset_label(text: str) -> CosetLabel:
+    data = json_value(json.loads(text), dict, "a coset label")
+    lam = json_ints(data["lambda"], "a point coordinate")
+    return CosetLabel(lam, json_ints(data["word"], "a word letter"))
+
+
 def _cmd_parahoric_product(args):
     datum = _load_datum(args.datum)
     face = face_type(datum, _word(args.jzero))
-    d1 = json.loads(args.d1)
-    d2 = json.loads(args.d2)
-    l1 = CosetLabel(tuple(d1["lambda"]), tuple(d1["word"]))
-    l2 = CosetLabel(tuple(d2["lambda"]), tuple(d2["word"]))
+    l1, l2 = (_coset_label(text) for text in (args.d1, args.d2))
     constants = parahoric_product(face, l1, l2)
     names = param_ring_for(datum).names()
     items = sorted(constants.items(), key=lambda kv: (kv[0].lam, kv[0].word))

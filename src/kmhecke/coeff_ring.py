@@ -10,9 +10,9 @@ exponents: int}` map with no zero entries, where `pack` writes an exponent
 vector as one integer in balanced base 2^24 digits, so multiplying
 monomials is integer addition.  `LaurentPoly` is a view over one such
 map, and the Bernstein-Lusztig product runs on the maps through
-`mul_acc`.  Exponents stay far below the 2^23 digit bound at any scale
-this package reaches.  Stored maps are never mutated; only a map its
-creator has just built is accumulated into.
+`mul_acc`.  `pack` refuses an entry outside the digit range; sums of
+packed keys inside the kernel are not checked.  Stored maps are never
+mutated; only a map its creator has just built is accumulated into.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ExponentLengthMismatch, OddExponent, ZeroSpecialization, json_ints, json_value
+from .errors import CoordinateOutOfRange, ExponentLengthMismatch, OddExponent, ZeroSpecialization
+from .errors import json_ints, json_value
 from .root_system import RootDatum, alpha_image_index
 
 Exponents = tuple[int, ...]
@@ -34,9 +35,12 @@ _HALF = _BASE >> 1
 
 
 def pack(e) -> int:
-    """An integer vector as one integer, coordinate k in digit k."""
+    """An integer vector as one integer, coordinate k in digit k; refuses a
+    coordinate outside the digit range, which would carry into the next."""
     r = 0
     for x in reversed(e):
+        if not -_HALF <= x < _HALF:
+            raise CoordinateOutOfRange(f"entry {x} of {tuple(e)} is outside {-_HALF}..{_HALF - 1}")
         r = r * _BASE + x
     return r
 
@@ -305,7 +309,8 @@ class LaurentPoly:
     def from_json(cls, nvars: int, data) -> "LaurentPoly":
         """Read [[exponents, coefficient], ...]; repeated exponents add up."""
         coeffs: dict[Exponents, int] = {}
-        for e, c in data:
+        for term in json_value(data, list, "a polynomial"):
+            e, c = json_value(term, list, "a polynomial term")
             e = json_ints(e, "an exponent")
             coeffs[e] = coeffs.get(e, 0) + json_value(c, int, "a coefficient")
         return cls(nvars, coeffs)
@@ -324,13 +329,14 @@ class ParamClasses:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.n, self.class_of)))
+        object.__setattr__(self, "_nclasses", max(self.class_of) + 1)
 
     def __hash__(self):
         return self._hash
 
     @property
     def nclasses(self) -> int:
-        return max(self.class_of) + 1
+        return self._nclasses
 
     def class_index(self, i: int, primed: bool = False) -> int:
         return self.class_of[2 * i + (1 if primed else 0)]

@@ -3,10 +3,11 @@
 An element of the completion is an infinite series with almost-finite
 support: finitely many Weyl components, and Y-support dominated by
 finitely many generators.  We never materialize the series; a
-TruncatedElement stores exact coefficients on a declared region together
-with a support certificate, and every operation certifies, from the
-certificates alone, that no coefficient outside the known regions can
-reach the requested target before summing what it knows.
+TruncatedElement stores its exact coefficients on a declared region as
+one `BLElement`, together with a support certificate, and every operation
+certifies, from the certificates alone, that no coefficient outside the
+known regions can reach the requested target before it multiplies what
+it knows with `mult_bl` (the left Y-action is the product Z^mu * a).
 
 The product's finiteness book-keeping needs one genuine strengthening of
 the support bounds: when the left factor has Weyl components other than
@@ -20,9 +21,9 @@ coefficient sums genuinely diverge.
 The finiteness argument is written once, as the walk `_contributions`:
 for a target point rho it yields each (lam, u, mus) through which the two
 factors can reach rho.  `compute_source_region` collects what it yields;
-`mult_truncated` (which refuses), `center_test` and the right action of
-`bimodule_act` (which keep the certified points) check it through
-`_first_unknown`.
+`mult_truncated` and the right action of `bimodule_act` with a target
+(which refuse), `center_test` and the right action without one (which
+keep the certified points) check it through `_unknowns`.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class Region:
                     seen.add(lam)
         return sorted(seen)
 
-    def covers(self, datum: RootDatum, other: "Region") -> bool:
-        return all(self.contains(datum, p) for p in other.enumerate(datum))
-
     def translated(self, mu) -> "Region":
         mu = tuple(mu)
         if self.points is not None:
@@ -150,10 +148,12 @@ class Region:
 
     @classmethod
     def from_json(cls, data) -> "Region":
-        if "points" in data:
-            return cls.explicit(tuple(json_ints(p, "a point coordinate") for p in data["points"]))
+        if "points" in json_value(data, dict, "a region"):
+            points = json_value(data["points"], list, "region points")
+            return cls.explicit(tuple(json_ints(p, "a point coordinate") for p in points))
+        gens = json_value(data["gens"], list, "region generators")
         return cls.cone(
-            tuple(json_ints(g, "a generator coordinate") for g in data["gens"]),
+            tuple(json_ints(g, "a generator coordinate") for g in gens),
             json_value(data["height"], int, "a region height"),
             json_value(data.get("require_tits", True), bool, "require_tits"),
         )
@@ -211,41 +211,49 @@ class AFCertificate:
 class TruncatedElement:
     """Exact coefficients on a region, plus an almost-finite certificate.
 
-    A region of None means the element is finite and the stored dictionary
-    *is* the element (every coefficient is known).  `in_bl_bar` marks
-    elements of the bimodule completion whose Y-support may leave the Tits
-    cone (they arise from translating by non-dominant monomials).
+    The known coefficients are one `BLElement`, `known` (a dictionary
+    {(lam, w): LaurentPoly} in its place is packed once).  A region of None
+    means the element is finite and `known` *is* the element.  `in_bl_bar`
+    marks elements of the bimodule completion whose Y-support may leave the
+    Tits cone (they arise from translating by non-dominant monomials).
     """
 
-    __slots__ = ("datum", "classes", "region", "coeffs", "certificate", "in_bl_bar")
+    __slots__ = ("datum", "classes", "region", "known", "certificate", "in_bl_bar")
 
     def __init__(
         self,
         datum: RootDatum,
         classes: ParamClasses,
         region: Region | None,
-        coeffs,
+        known,
         certificate: AFCertificate,
         in_bl_bar: bool = False,
     ):
+        if not isinstance(known, BLElement):
+            known = BLElement(datum, classes, known)
+        elif known.datum != datum or known.classes != classes:
+            raise ValueError("coefficients live over different data")
         self.datum = datum
         self.classes = classes
         self.region = region
-        self.coeffs = {
-            (tuple(lam), w): p for (lam, w), p in coeffs.items() if not p.is_zero()
-        }
+        self.known = known
         ws = tuple(
             sorted(
-                set(certificate.w_part) | {w for _, w in self.coeffs},
+                set(certificate.w_part) | known.support_w(),
                 key=lambda w: (w.length, w.word),
             )
         )
         self.certificate = replace(certificate, w_part=ws)
         self.in_bl_bar = in_bl_bar
         if self.region is not None:
-            for lam, w in self.coeffs:
+            for lam in known.support_y():
                 if not self.region.contains(datum, lam):
                     raise ValueError(f"coefficient at {lam} lies outside the region")
+
+    @property
+    def coeffs(self):
+        """The known coefficients decoded to a fresh {(lam, w): LaurentPoly} map."""
+        return self.known.terms
 
     # --- exactness bookkeeping ---
 
@@ -263,75 +271,57 @@ class TruncatedElement:
         return self.region.contains(self.datum, lam)
 
     def coeff(self, lam, w: WeylElement) -> LaurentPoly:
-        lam = tuple(lam)
-        got = self.coeffs.get((lam, w))
-        if got is not None:
-            return got
-        if not self.knows(lam, w):
+        got = self.known.coeff(lam, w)
+        if got.is_zero() and not self.knows(lam, w):
             raise InsufficientSource(f"coefficient at ({lam}, {w}) is outside the known region")
-        return self.classes.zero()
+        return got
 
     @classmethod
     def from_bl(cls, element: BLElement) -> "TruncatedElement":
-        """Wrap a finite element; certificate generators are the dominant reps."""
+        """Wrap a finite element; certificate generators are the dominant reps
+        (the constructor adds the Weyl support to the certificate)."""
         gens: set[Point] = set()
         for lam in element.support_y():
             rep = dominant_representative(element.datum, lam)
             if rep.status != IN_TITS_CONE:
                 raise ValueError("finite elements of the completion must be supported in Y+")
             gens.add(rep.dominant)
-        ws = tuple(sorted(element.support_w(), key=lambda w: (w.length, w.word)))
         if not gens:
             gens = {element.datum.zero()}
-        cert = AFCertificate(tuple(sorted(gens)), ws, dominant=True)
-        return cls(element.datum, element.classes, None, element.terms, cert)
-
-    def restrict(self, datum_region: Region) -> "TruncatedElement":
-        coeffs = {
-            (lam, w): p
-            for (lam, w), p in self.coeffs.items()
-            if datum_region.contains(self.datum, lam)
-        }
-        return TruncatedElement(
-            self.datum, self.classes, datum_region, coeffs, self.certificate, self.in_bl_bar
-        )
+        cert = AFCertificate(tuple(sorted(gens)), (), dominant=True)
+        return cls(element.datum, element.classes, None, element, cert)
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedElement)
-            and self.datum == other.datum
             and self.region == other.region
-            and self.coeffs == other.coeffs
+            and self.known == other.known  # compares the data too
         )
 
     def to_json(self):
         return {
             "region": None if self.region is None else self.region.to_json(),
             "certificate": self.certificate.to_json(),
-            "coeffs": [
-                {"lambda": list(lam), "word": list(w.word), "coeff": p.to_json()}
-                for (lam, w), p in sorted(
-                    self.coeffs.items(), key=lambda kv: (kv[0][0], kv[0][1].word)
-                )
-            ],
+            "coeffs": self.known.to_json(),
             "in_bl_bar": self.in_bl_bar,
         }
 
 
 def truncated_from_json(datum: RootDatum, classes: ParamClasses, data) -> TruncatedElement:
     """Read `TruncatedElement.to_json` output; the coefficients are read as a `BLElement`."""
+    data = json_value(data, dict, "a truncated element")
     region = None if data.get("region") is None else Region.from_json(data["region"])
-    cert_data = data["certificate"]
+    cert_data = json_value(data["certificate"], dict, "a certificate")
+    gens = json_value(cert_data["gens"], list, "certificate generators")
+    words = json_value(cert_data["w_part"], list, "certificate words")
     cert = AFCertificate(
-        tuple(json_ints(g, "a generator coordinate") for g in cert_data["gens"]),
-        tuple(
-            element_from_word(datum, json_ints(w, "a word letter")) for w in cert_data["w_part"]
-        ),
+        tuple(json_ints(g, "a generator coordinate") for g in gens),
+        tuple(element_from_word(datum, json_ints(w, "a word letter")) for w in words),
         json_value(cert_data.get("dominant", False), bool, "dominant"),
     )
-    coeffs = BLElement.from_json(datum, classes, data["coeffs"]).terms
+    known = BLElement.from_json(datum, classes, data["coeffs"])
     in_bl_bar = json_value(data.get("in_bl_bar", False), bool, "in_bl_bar")
-    return TruncatedElement(datum, classes, region, coeffs, cert, in_bl_bar)
+    return TruncatedElement(datum, classes, region, known, cert, in_bl_bar)
 
 
 # --- the product's certification engine ---
@@ -410,21 +400,20 @@ def _require_certifiable(cert_a: AFCertificate, u_cap: int, cert_b: AFCertificat
         )
 
 
-def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, right=None):
+def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, windows=None):
     """Every (lam, u, mus) through which Z^lam H_u * Z^mu H_v can reach rho.
 
-    With an explicit right Y-support `right`, windows run forward from it
-    and each source mu comes alone.  Otherwise lam ranges over the left
-    factor's explicit support `left` (its (lam, u) keys) or, without one,
-    over the dominance intervals of the two certificates, and the mus are
-    the reverse window of rho - lam under u, cut to what `cert_b` allows.
-    For u = e the window is the single point rho - lam, unfiltered.
+    With `windows`, the forward windows (u, mu, R_u(mu)) of an explicit
+    right factor, each source mu comes alone.  Otherwise lam ranges over
+    the left factor's explicit support `left` ({u: its lams}) or, without
+    one, over the dominance intervals of the two certificates, and the mus
+    are the reverse window of rho - lam under u, cut to what `cert_b`
+    allows.  For u = e the window is the single point rho - lam, unfiltered.
     """
-    if right is not None:
-        for u in cert_a.w_part:
-            for mu in right:
-                for nu in r_window(datum, u, mu):
-                    yield linalg.vec_sub(rho, nu), u, (mu,)
+    if windows is not None:
+        for u, mu, nus in windows:
+            for nu in nus:
+                yield linalg.vec_sub(rho, nu), u, (mu,)
         return
     if left is None:
         lams: set[Point] = set()
@@ -432,7 +421,7 @@ def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, righ
             for gb in cert_b.generators:
                 lams.update(_dominance_interval(datum, linalg.vec_sub(rho, gb), ga))
     for u in cert_a.w_part:
-        for lam in lams if left is None else {lam for (lam, v) in left if v == u}:
+        for lam in lams if left is None else left.get(u, ()):
             nu = linalg.vec_sub(rho, lam)
             if not u.word:
                 yield lam, u, (nu,)
@@ -441,38 +430,48 @@ def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, righ
             yield lam, u, [mu for mu in mus if cert_b.allows_y(datum, mu)]
 
 
-def _first_unknown(rho: Point, a: TruncatedElement, b: TruncatedElement):
-    """None when every coefficient that can reach rho is known, else the
-    first unknown one as (factor, lam, w), factor being "left" or "right"."""
+def _unknowns(points, a: TruncatedElement, b: TruncatedElement):
+    """Each target point that an unknown coefficient can reach, as
+    (rho, (factor, lam, w)) with the first such coefficient, factor being
+    "left" or "right".  An explicit factor's support, and the forward
+    windows from it, are read once per call."""
     if a.region is None and b.region is None:
-        return None
-    datum, cert_b = a.datum, b.certificate
-    right = None if b.region is not None else {mu for (mu, _) in b.coeffs}
-    left = None if a.region is not None else a.coeffs
-    for lam, u, mus in _contributions(datum, rho, a.certificate, cert_b, left, right):
-        if right is None:
-            mus = [
-                mu
-                for mu in mus
-                if (u.word or cert_b.allows_y(datum, mu))
-                and (b.in_bl_bar or tits_cone_status(datum, mu) == IN_TITS_CONE)
-            ]
-            if not mus:
-                continue
-        if not a.knows(lam, u):
-            return "left", lam, u
-        for mu in mus:
-            for v in cert_b.w_part:
-                if not b.knows(mu, v):
-                    return "right", mu, v
-    return None
+        return
+    datum, cert_a, cert_b = a.datum, a.certificate, b.certificate
+    left = windows = None
+    if a.region is None:
+        left = {}
+        for lam, u in a.known.support():
+            left.setdefault(u, set()).add(lam)
+    if b.region is None:
+        right = b.known.support_y()
+        windows = [(u, mu, r_window(datum, u, mu)) for u in cert_a.w_part for mu in right]
+    for rho in points:
+        for lam, u, mus in _contributions(datum, rho, cert_a, cert_b, left, windows):
+            if windows is None:
+                mus = [
+                    mu
+                    for mu in mus
+                    if (u.word or cert_b.allows_y(datum, mu))
+                    and (b.in_bl_bar or tits_cone_status(datum, mu) == IN_TITS_CONE)
+                ]
+                if not mus:
+                    continue
+            unknown = (("right", mu, v) for mu in mus for v in cert_b.w_part if not b.knows(mu, v))
+            missing = ("left", lam, u) if not a.knows(lam, u) else next(unknown, None)
+            if missing is not None:
+                yield rho, missing
+                break
 
 
-def _accumulate_product(a: TruncatedElement, b: TruncatedElement):
-    """Exact product of the known coefficient dictionaries."""
-    xa = BLElement(a.datum, a.classes, dict(a.coeffs))
-    xb = BLElement(b.datum, b.classes, dict(b.coeffs))
-    return mult_bl(xa, xb)
+def _require_known(points, a: TruncatedElement, b: TruncatedElement):
+    """Refuse, naming the coefficient in `needed`, the first target point
+    that an unknown coefficient can reach."""
+    for rho, missing in _unknowns(points, a, b):
+        factor, lam, w = missing
+        raise InsufficientSource(
+            f"{factor} factor unknown at ({lam}, {w}) for target {rho}", needed=missing
+        )
 
 
 def _product_certificate(a: TruncatedElement, b: TruncatedElement) -> AFCertificate:
@@ -500,30 +499,17 @@ def mult_truncated(
 
     Certifies first, from the two certificates, that nothing outside the
     known regions can contribute to any target coefficient, then sums the
-    finite product of the known dictionaries and restricts.
+    finite product of the known coefficients and restricts.
     """
     if a.datum != b.datum or a.classes != b.classes:
         raise ValueError("factors live over different data")
     if a.in_bl_bar or b.in_bl_bar:
         raise ValueError("the completed product is defined on Y+-supported elements")
-    datum = a.datum
-    points = target.enumerate(datum)
+    points = target.enumerate(a.datum)
     _require_certifiable(a.certificate, u_cap, None if b.region is None else b.certificate)
-    for rho in points:
-        missing = _first_unknown(rho, a, b)
-        if missing is not None:
-            factor, lam, w = missing
-            raise InsufficientSource(
-                f"{factor} factor unknown at ({lam}, {w}) for target {rho}", needed=missing
-            )
-    full = _accumulate_product(a, b)
-    point_set = set(points)
-    coeffs = {
-        (lam, w): p for (lam, w), p in full.terms.items() if lam in point_set
-    }
-    return TruncatedElement(
-        datum, a.classes, target, coeffs, _product_certificate(a, b)
-    )
+    _require_known(points, a, b)
+    known = mult_bl(a.known, b.known).restrict_y(points)
+    return TruncatedElement(a.datum, a.classes, target, known, _product_certificate(a, b))
 
 
 def compute_source_region(
@@ -567,65 +553,50 @@ def bimodule_act(
 ) -> TruncatedElement:
     """Translate by a Z-monomial of arbitrary sign.
 
-    On the left the coefficients shift wholesale and the region follows;
-    on the right each Weyl component drags a commutation window across mu,
-    so exactness survives only where every pulled-back source is known
-    (computed pointwise; pass a target to choose the output coordinates).
+    On the left the product Z^mu * a shifts the coefficients wholesale and
+    the region follows; on the right each Weyl component drags a
+    commutation window across mu, so exactness survives only where every
+    pulled-back source is known (computed pointwise; pass a target to
+    choose the output coordinates, and be refused at its first uncertified
+    point).
     """
     mu = tuple(mu)
     datum, classes = a.datum, a.classes
-    if side == "left":
-        coeffs = {
-            (linalg.vec_add(lam, mu), w): p for (lam, w), p in a.coeffs.items()
-        }
-        region = None if a.region is None else a.region.translated(mu)
-        gens = tuple(sorted(linalg.vec_add(g, mu) for g in a.certificate.generators))
-        cert = AFCertificate(gens, a.certificate.w_part, a.certificate.dominant)
-        leaves = any(
-            tits_cone_status(datum, lam) != IN_TITS_CONE for (lam, _) in coeffs
-        )
-        return TruncatedElement(
-            datum, classes, region, coeffs, cert, in_bl_bar=a.in_bl_bar or leaves
-        )
-    if side != "right":
-        raise ValueError("side must be 'left' or 'right'")
-
-    # right action: a * Z^mu, exact wherever every pulled-back source is known
     zmu = BLElement.z_monomial(datum, classes, mu)
-    z = TruncatedElement(
-        datum, classes, None, zmu.terms, AFCertificate((mu,), (identity(datum),))
-    )
-    out = _accumulate_product(a, z).terms
     gens = tuple(sorted(linalg.vec_add(g, mu) for g in a.certificate.generators))
-    ws: set[WeylElement] = set()
-    for w in a.certificate.w_part:
-        ws |= bruhat_interval(w)
-    cert = AFCertificate(
-        gens, tuple(sorted(ws, key=lambda x: (x.length, x.word))), a.certificate.dominant
-    )
-
-    if a.region is None:
-        return TruncatedElement(datum, classes, None, out, cert, in_bl_bar=a.in_bl_bar)
-
-    if target is not None:
-        points = set(target.enumerate(datum))
+    if side == "left":
+        known = mult_bl(zmu, a.known)
+        region = None if a.region is None else a.region.translated(mu)
+        cert = AFCertificate(gens, a.certificate.w_part, a.certificate.dominant)
+    elif side == "right":
+        # a * Z^mu, exact wherever every pulled-back source is known
+        known = mult_bl(a.known, zmu)
+        ws: set[WeylElement] = set()
+        for w in a.certificate.w_part:
+            ws |= bruhat_interval(w)
+        cert = AFCertificate(
+            gens, tuple(sorted(ws, key=lambda x: (x.length, x.word))), a.certificate.dominant
+        )
+        region = None
+        if a.region is not None:
+            z = TruncatedElement(datum, classes, None, zmu, AFCertificate((mu,), ()))
+            if target is not None:
+                certified = target.enumerate(datum)
+                _require_known(certified, a, z)
+            else:
+                # every point a term of a * Z^mu lands on, also where the terms cancel
+                lands = {
+                    w: mult_bl(BLElement.basis(datum, classes, datum.zero(), w), zmu).support_y()
+                    for w in a.known.support_w()
+                }
+                support = a.known.support()
+                points = {linalg.vec_add(lam, nu) for lam, w in support for nu in lands[w]}
+                certified = points - {rho for rho, _ in _unknowns(points, a, z)}
+            known, region = known.restrict_y(certified), Region.explicit(certified)
     else:
-        # every point a term of a * Z^mu lands on, also where the terms cancel
-        lands = {
-            w: mult_bl(BLElement.basis(datum, classes, datum.zero(), w), zmu).support_y()
-            for w in {w for (_, w) in a.coeffs}
-        }
-        points = {linalg.vec_add(lam, nu) for (lam, w) in a.coeffs for nu in lands[w]}
-    certified = {rho for rho in points if _first_unknown(rho, a, z) is None}
-    if target is not None and certified != points:
-        missing = sorted(points - certified)
-        raise InsufficientSource(f"right action not exact at {missing[:3]}...")
-    region = Region.explicit(certified)
-    coeffs = {(lam, w): p for (lam, w), p in out.items() if lam in certified}
-    leaves = any(tits_cone_status(datum, lam) != IN_TITS_CONE for (lam, _) in coeffs)
-    return TruncatedElement(
-        datum, classes, region, coeffs, cert, in_bl_bar=a.in_bl_bar or leaves
-    )
+        raise ValueError("side must be 'left' or 'right'")
+    leaves = any(tits_cone_status(datum, lam) != IN_TITS_CONE for lam in known.support_y())
+    return TruncatedElement(datum, classes, region, known, cert, in_bl_bar=a.in_bl_bar or leaves)
 
 
 # --- orbit sums: the E-basis of the invariant completion ---
@@ -641,9 +612,6 @@ class EFunction:
     @classmethod
     def single(cls, datum, classes, lam, coeff: LaurentPoly | None = None) -> "EFunction":
         return cls(datum, classes, ((tuple(lam), coeff or classes.one()),))
-
-    def support(self):
-        return [lam for lam, _ in self.coeffs]
 
 
 def e_function_expand(f: EFunction, target: Region) -> TruncatedElement:
@@ -705,41 +673,38 @@ def center_test(
     Everything else is Inconclusive: a truncation can only ever verify
     centrality up to what it sees.
     """
-    datum, classes = a.datum, a.classes
+    datum = a.datum
+    support_y = a.known.support_y()
     for p in _probe_elements(a, z_probes):
         tp = TruncatedElement.from_bl(p)
-        lhs = _accumulate_product(a, tp).terms
-        rhs = _accumulate_product(tp, a).terms
-        cands = {lam for (lam, _) in lhs} | {lam for (lam, _) in rhs}
-        cands |= {lam for (lam, _) in a.coeffs}
+        lhs = mult_bl(a.known, p)
+        rhs = mult_bl(p, a.known)
+        cands = lhs.support_y() | rhs.support_y() | support_y
         try:
             _require_certifiable(a.certificate, u_cap, None)
-            ok_l = {rho for rho in cands if _first_unknown(rho, a, tp) is None}
+            refused = {rho for rho, _ in _unknowns(cands, a, tp)}
             _require_certifiable(tp.certificate, u_cap, None if a.region is None else a.certificate)
-            ok_r = {rho for rho in cands if _first_unknown(rho, tp, a) is None}
+            refused |= {rho for rho, _ in _unknowns(cands, tp, a)}
         except (InsufficientSource, CapExceeded):
             continue
-        certified = ok_l & ok_r
-        keys = {k for k in set(lhs) | set(rhs) if k[0] in certified}
-        for key in sorted(keys, key=lambda k: (k[0], k[1].word)):
-            cl = lhs.get(key, classes.zero())
-            cr = rhs.get(key, classes.zero())
-            if cl != cr:
-                return CenterVerdict(
-                    NOT_CENTRAL,
-                    probe=p,
-                    coordinate=key,
-                    detail=f"a*x and x*a differ at {key[0]} H_{key[1].word}",
-                )
+        differ = (lhs - rhs).restrict_y(cands - refused)
+        if not differ.is_zero():
+            key = min(differ.support(), key=lambda k: (k[0], k[1].word))
+            return CenterVerdict(
+                NOT_CENTRAL,
+                probe=p,
+                coordinate=key,
+                detail=f"a*x and x*a differ at {key[0]} H_{key[1].word}",
+            )
 
     # structural certification for a Central verdict
-    if any(w.word for (_, w) in a.coeffs):
+    if any(w.word for w in a.known.support_w()):
         return CenterVerdict(
             INCONCLUSIVE,
             detail="nontrivial Weyl support in the region but no certified witness",
         )
     if a.region is None:
-        points = sorted({lam for (lam, _) in a.coeffs})
+        points = sorted(support_y)
     else:
         points = a.region.enumerate(datum)
     e = identity(datum)

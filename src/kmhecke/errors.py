@@ -138,6 +138,10 @@ class ExponentLengthMismatch(KacMoodyError):
     """An exponent vector whose length is not the number of parameter classes."""
 
 
+class CoordinateOutOfRange(KacMoodyError):
+    """A point coordinate or exponent outside the range the packed form encodes."""
+
+
 class OddExponent(KacMoodyError):
     def __init__(self):
         super().__init__("eval_sq requires all exponents even (values are given to squares)")

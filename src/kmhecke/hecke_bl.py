@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .coeff_ring import LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
-from .errors import BudgetExceeded, PointLengthMismatch, json_ints
+from .errors import BudgetExceeded, PointLengthMismatch, json_ints, json_value
 from .root_system import Point, RootDatum
 from .weyl import (
     ID_CAP,
@@ -34,25 +34,35 @@ Key = tuple[Point, WeylElement]
 Terms = dict[Key, LaurentPoly]
 
 
+def _pack_point(rank: int, lam) -> int:
+    if len(lam) != rank:
+        raise PointLengthMismatch(lam, rank)
+    return pack(lam)
+
+
+def _key(datum: RootDatum, lam, w: WeylElement) -> int:
+    """The packed key of Z^lam H_w in an element over `datum`."""
+    if w.datum is not datum and w.datum != datum:  # ids number one datum's store
+        raise ValueError("element belongs to a different root datum")
+    return _pack_point(datum.rank_y, lam) * ID_CAP + w.id
+
+
 class BLElement:
     """A finite linear combination of basis symbols Z^lam H_w.
 
     Stored as one map `packed`: pack(lam) * ID_CAP + the store id of w to
-    the packed map of its nonzero coefficient.  `terms` decodes it on read.
+    the packed map of its nonzero coefficient.  `terms` decodes it on read;
+    `coeff`, `support_y`, `support_w` and `restrict_y` read the keys.
     """
 
     __slots__ = ("datum", "classes", "packed")
 
     def __init__(self, datum: RootDatum, classes: ParamClasses, terms: Terms | None = None):
-        rank = datum.rank_y
         packed = {}
         for (lam, w), poly in (terms or {}).items():
-            if len(lam) != rank:
-                raise PointLengthMismatch(lam, rank)
-            if w.datum != datum:  # ids number the elements of one datum's store
-                raise ValueError("element belongs to a different root datum")
+            key = _key(datum, lam, w)
             if poly.packed:
-                packed[pack(lam) * ID_CAP + w.id] = poly.packed
+                packed[key] = poly.packed
         self.datum, self.classes, self.packed = datum, classes, packed
 
     # --- constructors ---
@@ -93,24 +103,31 @@ class BLElement:
         elems = _INTERNERS[self.datum].elems
         out = {}
         for k, p in self.packed.items():
-            wid = k % ID_CAP
-            out[(unpack((k - wid) // ID_CAP, rank), elems[wid])] = LaurentPoly.from_packed(n, p)
+            out[(unpack(k // ID_CAP, rank), elems[k % ID_CAP])] = LaurentPoly.from_packed(n, p)
         return out
 
     def is_zero(self) -> bool:
         return not self.packed
 
     def support(self) -> set[Key]:
-        return set(self.terms)
+        rank, elems = self.datum.rank_y, _INTERNERS[self.datum].elems
+        return {(unpack(k // ID_CAP, rank), elems[k % ID_CAP]) for k in self.packed}
 
     def support_y(self) -> set[Point]:
-        return {lam for lam, _ in self.terms}
+        return {unpack(p, self.datum.rank_y) for p in {k // ID_CAP for k in self.packed}}
 
     def support_w(self) -> set[WeylElement]:
-        return {w for _, w in self.terms}
+        return {_INTERNERS[self.datum].elems[i] for i in {k % ID_CAP for k in self.packed}}
 
     def coeff(self, lam, w: WeylElement) -> LaurentPoly:
-        return self.terms.get((tuple(lam), w), self.classes.zero())
+        p = self.packed.get(_key(self.datum, lam, w), {})
+        return LaurentPoly.from_packed(self.classes.nclasses, p)
+
+    def restrict_y(self, keep) -> "BLElement":
+        """The terms whose point lies in `keep`, a collection of points."""
+        pts = {_pack_point(self.datum.rank_y, lam) for lam in keep}
+        out = {k: p for k, p in self.packed.items() if k // ID_CAP in pts}
+        return BLElement.from_packed(self.datum, self.classes, out)
 
     def __eq__(self, other):
         return (
@@ -189,7 +206,8 @@ class BLElement:
     @classmethod
     def from_json(cls, datum, classes, data) -> "BLElement":
         terms: Terms = {}
-        for entry in data:
+        for entry in json_value(data, list, "an element"):
+            entry = json_value(entry, dict, "an element term")
             lam = json_ints(entry["lambda"], "a point coordinate")
             w = element_from_word(datum, json_ints(entry["word"], "a word letter"))
             poly = LaurentPoly.from_json(classes.nclasses, entry["coeff"])
@@ -248,10 +266,9 @@ def commute_Hi_past_Z(
     datum: RootDatum, classes: ParamClasses, i: int, nu: Point
 ) -> BLElement:
     """H_i * Z^nu rewritten in the Z H basis (see `_commute_packed`)."""
-    if len(nu) != datum.rank_y:
-        raise PointLengthMismatch(nu, datum.rank_y)
+    pnu = _pack_point(datum.rank_y, nu)
     rid = simple_reflection(datum, i).id  # validates i before caching
-    prnu, window = _commute_packed(datum, classes, i, pack(nu))
+    prnu, window = _commute_packed(datum, classes, i, pnu)
     packed = {prnu * ID_CAP + rid: classes.one().packed}
     packed.update((ppt * ID_CAP, coeff) for ppt, coeff in window)
     return BLElement.from_packed(datum, classes, packed)

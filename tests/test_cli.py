@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmhecke.cli import main
 
@@ -382,3 +386,113 @@ def test_non_integer_json_values_refused(capsys, tmp_path, a2_file, command, pay
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("InvalidJSONValue: ") and err.count("\n") == 1
+
+
+def _unit_file(tmp_path):
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps([{"lambda": [0, 0], "word": [], "coeff": [[[0], 1]]}]))
+    return str(unit)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("hecke", [{"lambda": [0, 0], "word": [], "coeff": 5}]),
+        ("hecke", {"lambda": [0, 0], "word": [], "coeff": [[[0], 1]]}),
+        ("center", {**_finite_factor([([1, 0], 1)]), "certificate": {"gens": 5, "w_part": [[]]}}),
+        ("product", {"lambda": 5, "word": []}),
+        ("product", [1]),
+        ("product", {"lambda": [1.5, 0], "word": []}),
+    ],
+)
+def test_wrong_json_shape_refused(capsys, tmp_path, a2_file, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "hecke":
+        argv = ["hecke", "mul", "--datum", a2_file, str(path), _unit_file(tmp_path)]
+    elif command == "center":
+        argv = ["complete", "center", "--datum", a2_file, str(path)]
+    else:
+        argv = ["parahoric", "product", "--datum", a2_file, "--jzero", "0",
+                "--d1", json.dumps(payload), "--d2", json.dumps({"lambda": [1, 0], "word": []})]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("InvalidJSONValue: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "gcm, lam, exps",
+    [
+        ([[2]], [8388608], [0, 0]),  # 2^23, which used to print Z^(-8388608)
+        ([[2, -2], [-2, 2]], [16777216, 0, 0], [0, 0]),  # 2^24, which used to print Z^(0,1,0)
+    ],
+)
+def test_out_of_range_coordinates_refused(capsys, tmp_path, gcm, lam, exps):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"gcm": gcm}))
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps([{"lambda": lam, "word": [], "coeff": [[exps, 1]]}]))
+    right = tmp_path / "right.json"
+    right.write_text(json.dumps([{"lambda": [0] * len(lam), "word": [], "coeff": [[exps, 1]]}]))
+    code, out, err = run(capsys, ["hecke", "mul", "--datum", str(datum), str(left), str(right)])
+    assert code == 2 and out == ""
+    assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
+
+
+_A2 = {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1, 0], [0, 1]],
+       "roots": [[2, -1], [-1, 2]]}
+_TERM = {"lambda": [1, 0], "word": [0], "coeff": [[[1], 2]]}
+# a well-formed input of each reader, into which arbitrary JSON is grafted
+_VALID = {
+    "hecke": [_TERM],
+    "mul": {**_finite_factor([([1, 0], 1)]), "region": {"gens": [[1, 0]], "height": 1}},
+    "center": {**_finite_factor([([1, 0], 1), ([0, 1], 1)]), "region": {"points": [[1, 0], [0, 1]]}},
+    "efun": [{"lambda": [1, 1], "coeff": [[[0], 1]]}],
+    "product": {"lambda": [1, 0], "word": [1]},
+}
+_KEYS = ("lambda", "word", "coeff", "coeffs", "region", "certificate", "in_bl_bar", "gens",
+         "w_part", "dominant", "points", "height", "require_tits")
+_ANY_JSON = st.recursive(
+    st.integers(-2, 2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _grafted(draw, value):
+    """`value` with one of its parts, or the whole, replaced by arbitrary JSON."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        keys = list(range(len(value))) if isinstance(value, list) else sorted(value)
+        key = draw(st.sampled_from(keys))
+        out = list(value) if isinstance(value, list) else dict(value)
+        out[key] = draw(_grafted(value[key]))
+        return out
+    return draw(_ANY_JSON)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_VALID)).flatmap(lambda c: st.tuples(st.just(c), _grafted(_VALID[c]))))
+def test_arbitrary_json_shapes_exit_cleanly(case):
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        datum, path, unit = (os.path.join(tmp, n) for n in ("a2.json", "in.json", "unit.json"))
+        for name, data in ((datum, _A2), (path, payload), (unit, [_TERM])):
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        argv = {
+            "hecke": ["hecke", "mul", "--datum", datum, path, unit],
+            "mul": ["complete", "mul", "--datum", datum, path, path,
+                    "--region-gens", "1,0", "--region-height", "1"],
+            "center": ["complete", "center", "--datum", datum, path],
+            "efun": ["complete", "efun", "--datum", datum, path,
+                     "--region-gens", "1,1", "--region-height", "1"],
+            "product": ["parahoric", "product", "--datum", datum, "--jzero", "0",
+                        "--d1", json.dumps(payload), "--d2", '{"lambda": [1, 0], "word": []}'],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") == (0 if code == 0 else 1)
