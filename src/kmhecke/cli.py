@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .coeff_ring import LaurentPoly, param_ring_for
 from .completed import (
@@ -350,7 +351,9 @@ def _cmd_parahoric_treecount(args):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(prog="kmhecke", description=__doc__)
     parser.add_argument("--format", choices=("table", "json"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetError as exc:

@@ -5,8 +5,16 @@ coefficients.  The product is driven by four relations: Z-monomials
 multiply additively, H_i against H_w follows the quadratic/braid rule, and
 commuting H_i past Z^nu expands over a lattice window between nu and its
 reflection.  The negative-pairing window is derived from the defining
-commutation relation by expanding the geometric sum exactly (which fixes
-the sign of the window terms; associativity tests arbitrate).
+commutation relation by expanding the geometric sum exactly, which fixes
+the sign of its terms.
+
+A product of basis symbols is Z^lam H_u * Z^mu H_v = Z^lam (H_u Z^mu) H_v.
+`_basis_product_packed` memoizes H_u Z^mu, one letter of u per entry, and
+`mult_bl` folds in H_v once for each Weyl part v of its right factor,
+through the memo of H_t H_v.  `tests/test_bl_oracle.py` checks `mult_bl`
+against an independent model: on A1 with Y the coroot lattice, the
+Iwahori-Matsumoto Hecke algebra of the affine Weyl group of type A1,
+computed from alternating words and the quadratic relation alone.
 """
 
 from __future__ import annotations
@@ -224,6 +232,11 @@ class BLElement:
 # like element stores, by single integers packed_point * ID_CAP + element
 # id.  The engine accumulates only into maps it has just created; cached
 # tables and element stores share their maps and are never mutated.
+# The three tables are bounded, so a long-lived process keeps at most
+# CACHE_SIZE entries in each; an evicted entry is recomputed on demand.
+
+CACHE_SIZE = 1 << 15  # entries of each product table
+_FILL_STRIDE = 64  # letters between the suffixes a long miss of the H_u Z^mu memo fills first
 
 
 def _settle(acc: dict) -> dict:
@@ -231,7 +244,7 @@ def _settle(acc: dict) -> dict:
     return {k: d for k, dz in acc.items() if (d := {e: c for e, c in dz.items() if c})}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
     """H_i * Z^nu as (packed reflected point, packed window terms).
 
@@ -282,7 +295,7 @@ def _h_times_basis_packed(i: int, w: WeylElement, one: dict, smi: dict):
     return ((w.id, smi), (riw.id, one))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: int):
     """H_t * H_v, peeling letters of t from the inside out."""
     elems = _INTERNERS[datum].elems
@@ -298,59 +311,76 @@ def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: in
     return tuple(out.items())
 
 
-@lru_cache(maxsize=None)
-def _basis_product_packed(
-    datum: RootDatum, classes: ParamClasses, uid: int, pmu: int, vid: int
-):
-    """H_u * Z^mu H_v, peeling one letter of u at a time.
+@lru_cache(maxsize=CACHE_SIZE)
+def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pmu: int):
+    """H_u * Z^mu as a packed state {packed_point * ID_CAP + element_id: coefficient}.
 
-    States are keyed packed_point * ID_CAP + element_id; the whole walk is
-    integer arithmetic.  Window terms carry the identity Weyl part (id 0),
-    so only the reflected term needs a quadratic-relation fold.
+    With i the first letter of u's canonical word, r_i u has the rest of
+    the word, so an entry is one H_i step on the entry for r_i u:
+    H_i Z^nu H_t = Z^{r_i nu} H_i H_t + (window of nu) H_t.  A miss thus
+    costs one letter when the shorter suffixes are cached.  A miss on a
+    word longer than _FILL_STRIDE first asks for the suffix whose length
+    is the largest multiple of the stride below its own, so a cold chain
+    of k letters recurses about k / _FILL_STRIDE + _FILL_STRIDE calls
+    deep, not k.
     """
     elems = _INTERNERS[datum].elems
+    u = elems[uid]
+    word = u.word
+    if not word:
+        return {pmu * ID_CAP: classes.one().packed}
+    if len(word) > _FILL_STRIDE:
+        v = u
+        for i in word[: (len(word) - 1) % _FILL_STRIDE + 1]:
+            v = left_mul(i, v)
+        _basis_product_packed(datum, classes, v.id, pmu)
+    i = word[0]
     one = classes.one().packed
-    state: dict = {pmu * ID_CAP: one}
-    for i in reversed(elems[uid].word):
-        smi = classes.sigma_minus_inverse(i).packed
-        nxt = defaultdict(lambda: defaultdict(int))
-        for key, c in state.items():
-            tid = key % ID_CAP
-            pnu = (key - tid) // ID_CAP
-            prnu, window = _commute_packed(datum, classes, i, pnu)
-            base = prnu * ID_CAP
-            for tid3, c3 in _h_times_basis_packed(i, elems[tid], one, smi):
-                mul_acc(nxt[base + tid3], c, c3)
-            for ppt, coeff in window:
-                mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
-        state = _settle(nxt)
-    if vid != 0:
-        shifted = defaultdict(lambda: defaultdict(int))
-        for key, c in state.items():
-            tid = key % ID_CAP
-            base = key - tid
-            for tid2, c2 in _h_times_h_packed(datum, classes, tid, vid):
-                mul_acc(shifted[base + tid2], c, c2)
-        state = _settle(shifted)
-    return state
+    smi = classes.sigma_minus_inverse(i).packed
+    nxt = defaultdict(lambda: defaultdict(int))
+    for key, c in _basis_product_packed(datum, classes, left_mul(i, u).id, pmu).items():
+        tid = key % ID_CAP
+        pnu = (key - tid) // ID_CAP
+        prnu, window = _commute_packed(datum, classes, i, pnu)
+        base = prnu * ID_CAP
+        for tid3, c3 in _h_times_basis_packed(i, elems[tid], one, smi):
+            mul_acc(nxt[base + tid3], c, c3)
+        for ppt, coeff in window:
+            mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
+    return _settle(nxt)
 
 
 def mult_bl(a: BLElement, b: BLElement) -> BLElement:
-    """Bilinear extension of the basis products."""
+    """The product a * b, by Z^lam H_u * Z^mu H_v = Z^lam (H_u Z^mu) H_v.
+
+    b's terms are grouped by their Weyl part v.  For each group the
+    products Z^lam (H_u Z^mu) of every term of a with every term of the
+    group are accumulated from the memo of H_u Z^mu, settled, and H_v is
+    folded in once through `_h_times_h_packed`.  The group v = e needs no
+    fold and accumulates into the result directly.
+    """
     a._compat(b)
     datum, classes = a.datum, a.classes
+    groups = defaultdict(list)
+    for key_b, pb in b.packed.items():
+        vid = key_b % ID_CAP
+        groups[vid].append(((key_b - vid) // ID_CAP, pb))
     out = defaultdict(lambda: defaultdict(int))
-    for key_a, pa in a.packed.items():
-        uid = key_a % ID_CAP
-        shift = key_a - uid
-        for key_b, pb in b.packed.items():
-            vid = key_b % ID_CAP
-            base = _basis_product_packed(
-                datum, classes, uid, (key_b - vid) // ID_CAP, vid
-            )
-            c = mul(pa, pb)
-            for key, cz in base.items():
-                mul_acc(out[key + shift], c, cz)
+    for vid, group in groups.items():
+        acc = defaultdict(lambda: defaultdict(int)) if vid else out
+        for key_a, pa in a.packed.items():
+            uid = key_a % ID_CAP
+            shift = key_a - uid
+            for pmu, pb in group:
+                c = mul(pa, pb)
+                for key, cz in _basis_product_packed(datum, classes, uid, pmu).items():
+                    mul_acc(acc[key + shift], c, cz)
+        if vid:
+            for key, c in _settle(acc).items():
+                tid = key % ID_CAP
+                base = key - tid
+                for tid2, c2 in _h_times_h_packed(datum, classes, tid, vid):
+                    mul_acc(out[base + tid2], c, c2)
     return BLElement.from_packed(datum, classes, _settle(out))
 
 

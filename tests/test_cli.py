@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmhecke.cli import main
+import kmhecke
+from kmhecke.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -496,3 +499,51 @@ def test_arbitrary_json_shapes_exit_cleanly(case):
             code = main(argv)
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") == (0 if code == 0 else 1)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+FRESH_MAIN = "import sys; from kmhecke.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _golden(name):
+    return os.path.join(GOLDEN, name)
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch, tmp_path):
+    """One process shares one parser across calls; each call still answers like a fresh process."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([[2, -1], [0, 2]]))
+    calls = [
+        ["--format", "json", "classify", "--datum", _golden("mixed3.json")],
+        ["weyl", "orbit", "--datum", _golden("a2.json")],  # argparse error: --point is required
+        ["hecke", "mul", "--datum", _golden("aff.json"), _golden("aff_left.json"), _golden("aff_right.json")],
+        ["gcm", "validate", str(bad)],
+        ["--format", "yaml", "classify", "--datum", _golden("mixed3.json")],  # argparse error
+        ["weyl", "--help"],
+        ["parahoric", "treecount", "--length", "6", "--q", "2", "--qprime", "3"],
+        ["--format", "json", "classify", "--datum", _golden("mixed3.json")],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    src = os.path.dirname(os.path.dirname(kmhecke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    codes = set()
+    for argv in calls:
+        got = _in_process(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(got[0])
+    assert codes == {0, 2}
+    assert build_parser() is build_parser()
