@@ -10,9 +10,13 @@ exponents: int}` map with no zero entries, where `pack` writes an exponent
 vector as one integer in balanced base 2^24 digits, so multiplying
 monomials is integer addition.  `LaurentPoly` is a view over one such
 map, and the Bernstein-Lusztig product runs on the maps through
-`mul_acc`.  `pack` refuses an entry outside the digit range; sums of
-packed keys inside the kernel are not checked.  Stored maps are never
-mutated; only a map its creator has just built is accumulated into.
+`mul_acc`.  `pack` refuses an entry outside the digit range.  With
+`half=SUM_HALF` it refuses one outside half of it, and so does
+`require_summable` for a vector already packed; the sum of two such
+vectors cannot carry, and the product kernel holds the points it adds to
+that bound.  Sums of packed exponents inside `mul_acc` are not checked.
+Stored maps are never mutated; only a map its creator has just built is
+accumulated into.
 """
 
 from __future__ import annotations
@@ -32,17 +36,32 @@ Packed = dict[int, int]
 _BITS = 24
 _BASE = 1 << _BITS
 _HALF = _BASE >> 1
+SUM_HALF = _HALF >> 1  # entries of vectors that are added to one another in packed form
 
 
-def pack(e) -> int:
+def pack(e, half: int = _HALF) -> int:
     """An integer vector as one integer, coordinate k in digit k; refuses a
-    coordinate outside the digit range, which would carry into the next."""
+    coordinate outside -half .. half - 1.  The default is the digit range,
+    beyond which a coordinate would carry into the next."""
     r = 0
     for x in reversed(e):
-        if not -_HALF <= x < _HALF:
-            raise CoordinateOutOfRange(f"entry {x} of {tuple(e)} is outside {-_HALF}..{_HALF - 1}")
+        if not -half <= x < half:
+            raise CoordinateOutOfRange(f"entry {x} of {tuple(e)} is outside {-half}..{half - 1}")
         r = r * _BASE + x
     return r
+
+
+def require_summable(r: int, n: int):
+    """Refuse the packed n-vector r unless every entry lies in -SUM_HALF .. SUM_HALF - 1.
+
+    With _HALF added to each digit, entry e becomes the unsigned digit
+    e + _HALF, which lies in SUM_HALF .. 3 * SUM_HALF - 1 exactly when its
+    top two bits differ; so one mask tests every entry without decoding.
+    """
+    ones = (_BASE**n - 1) // (_BASE - 1)  # the digit 1 in each of n places
+    u, top = r + _HALF * ones, SUM_HALF * ones
+    if (u ^ (u >> 1)) & top != top:
+        pack(unpack(r, n), SUM_HALF)  # raises, naming the entry
 
 
 def unpack(r: int, n: int) -> tuple[int, ...]:

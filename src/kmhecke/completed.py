@@ -43,16 +43,13 @@ from .errors import (
 )
 from .hecke_bl import BLElement, mult_bl, r_window
 from .root_system import (
-    FINITE,
     Point,
     RootDatum,
-    classify_components,
     height_between,
     q_coords,
 )
 from .weyl import (
     IN_TITS_CONE,
-    UNKNOWN,
     WeylElement,
     bruhat_interval,
     dominant_representative,
@@ -748,18 +745,8 @@ def center_of_H_classify(datum: RootDatum, lam, budget: int = 1000) -> bool:
 
     True iff lam pairs trivially with every non-finite component, i.e. the
     monomial Z^lam lies in the span of the finite-type and inessential
-    directions.  This is a lattice-membership statement; in finite type
-    the center consists of invariant combinations, not single monomials.
+    directions; that is exactly the test of `orbit_is_finite`.  This is a
+    lattice-membership statement; in finite type the center consists of
+    invariant combinations, not single monomials.
     """
-    st = tits_cone_status(datum, lam, budget)
-    if st != IN_TITS_CONE:
-        if st == UNKNOWN:
-            raise TitsConeUndecided(tuple(lam), budget)
-        raise ValueError("center classification expects a point of Y+")
-    report = classify_components(datum)
-    for comp in report.components:
-        if comp.kind == FINITE:
-            continue
-        if any(datum.pairing(i, lam) != 0 for i in comp.indices):
-            return False
-    return True
+    return orbit_is_finite(datum, lam, budget)

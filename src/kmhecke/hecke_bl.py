@@ -23,7 +23,8 @@ from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .coeff_ring import LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
+from .coeff_ring import SUM_HALF, LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
+from .coeff_ring import require_summable
 from .errors import BudgetExceeded, PointLengthMismatch, json_ints, json_value
 from .root_system import Point, RootDatum
 from .weyl import (
@@ -234,6 +235,12 @@ class BLElement:
 # tables and element stores share their maps and are never mutated.
 # The three tables are bounded, so a long-lived process keeps at most
 # CACHE_SIZE entries in each; an evicted entry is recomputed on demand.
+# Packed points are added to one another in `mult_bl` (the shift by a
+# term of the left factor) and in `_commute_packed` (the reflection and
+# its window).  So that no sum carries into the next coordinate, every
+# point of the H_u Z^mu memo lies in -SUM_HALF .. SUM_HALF - 1 (2^22):
+# the memo refuses (CoordinateOutOfRange) a mu or a reflected point
+# outside that range, and `mult_bl` a point of its left factor outside it.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 _FILL_STRIDE = 64  # letters between the suffixes a long miss of the H_u Z^mu memo fills first
@@ -257,6 +264,8 @@ def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
     nu = unpack(pnu, datum.rank_y)
     m = datum.pairing(i, nu)
     pco = pack(datum.coroots[i])
+    # the window lies between nu and its reflection, so this bounds it too
+    prnu = pack(linalg.vec_sub(nu, linalg.vec_scale(m, datum.coroots[i])), SUM_HALF)
     window = []
     if m != 0:
         c_plain = classes.sigma_minus_inverse(i, primed=False).packed
@@ -272,7 +281,7 @@ def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
             for h in range(1, -m + 1):
                 neg = {e: -c for e, c in (c_even if h % 2 == 0 else c_odd).items()}
                 window.append((pnu + h * pco, neg))
-    return pnu - m * pco, tuple(window)
+    return prnu, tuple(window)
 
 
 def commute_Hi_past_Z(
@@ -328,6 +337,7 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pmu
     u = elems[uid]
     word = u.word
     if not word:
+        require_summable(pmu, datum.rank_y)
         return {pmu * ID_CAP: classes.one().packed}
     if len(word) > _FILL_STRIDE:
         v = u
@@ -361,6 +371,8 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     """
     a._compat(b)
     datum, classes = a.datum, a.classes
+    for shift in {k // ID_CAP for k in a.packed}:
+        require_summable(shift, datum.rank_y)
     groups = defaultdict(list)
     for key_b, pb in b.packed.items():
         vid = key_b % ID_CAP

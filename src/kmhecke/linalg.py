@@ -17,7 +17,7 @@ Mat = tuple[Vec, ...]
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))  # every descent test and reflection pairs through here
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

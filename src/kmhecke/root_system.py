@@ -276,17 +276,22 @@ def _graph_components(gcm: GCM) -> list[tuple[int, ...]]:
     return comps
 
 
-@lru_cache(maxsize=None)
 def classify_components(datum: RootDatum) -> ComponentReport:
-    """Partition I into connected blocks and decide the type trichotomy.
+    """Partition I into connected blocks and decide the type trichotomy."""
+    return classify_gcm(datum.gcm)
+
+
+@lru_cache(maxsize=None)
+def classify_gcm(gcm: GCM) -> ComponentReport:
+    """The blocks of a GCM and their types.
 
     Finite iff some u > 0 has A u > 0, Affine iff (not Finite and) some
     u > 0 has A u = 0, Indefinite otherwise; decided by exact rational
     Fourier-Motzkin elimination.
     """
     comps = []
-    for indices in _graph_components(datum.gcm):
-        sub = datum.gcm.submatrix(indices).entries
+    for indices in _graph_components(gcm):
+        sub = gcm.submatrix(indices).entries
         if linalg.exists_positive_solution(sub, "pos"):
             kind, delta, cokernel = FINITE, None, None
         elif linalg.exists_positive_solution(sub, "zero"):
@@ -357,8 +362,3 @@ def datum_from_json(data: dict) -> RootDatum:
         return build_realization(gcm, (rank_y, data["coroots"], data["roots"]))
     return build_realization(gcm)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -4,21 +4,26 @@ Each datum has one element store, `STORES[datum]`, that creates every
 element once, with a small integer id (its index; the identity is 0) by
 which the Hecke-algebra kernel keys its tables.  An element carries its
 integer matrix on Y (the action is faithful), its canonical reduced word
-and the matrix of its *inverse* on root coordinates, which makes descent
-tests a sign check on a column: i is a left descent of w iff
-w^{-1}(alpha_i) is a negative root.
+and the image w.rho of one regular dominant point rho of Y, which makes
+descent tests a sign check: i is a left descent of w iff w^{-1}(alpha_i)
+is a negative root, iff alpha_i(w.rho) < 0 (Bjorner-Brenti, ch. 4).
 
 Every product is a fold over a word of one memoized left multiplication,
-`left_mul(i, w) = r_i w`; only a miss multiplies matrices, and only a new
-element has its word stripped by descents.  Stores are never emptied, so
-`ID_CAP` (2^20 elements per datum) holds for the life of the process.
+`left_mul(i, w) = r_i w`; only a miss multiplies matrices.  A new element
+longer than w whose smallest left descent is i gets the word (i,) + the
+word of w; any other new element gets its word from `_descend`.  Stores
+are never emptied, so `ID_CAP` (2^20 elements per datum) holds for the
+life of the process.
 
-The projection to the dominant chamber (`dominant_representative`) is
-memoized in one bounded table keyed on (datum, point, budget), which
-`tits_cone_status` reads too.  It records the reflection word it applied
-and builds the minimal-length witness from it only when `minimizer` is
-read, so the many callers that need just the dominant point or the
-Tits-cone status do no Weyl-group multiplication.
+`_descend` is the one descent loop: it reflects a point at the smallest
+simple root that pairs negatively with it until none does.  From w.rho it
+spells the canonical word of w; from any point it is the projection to the
+dominant chamber (`dominant_representative`), memoized in one bounded
+table keyed on (datum, point, budget), which `tits_cone_status` reads
+too.  The projection keeps the reflection word it applied and builds the
+minimal-length witness from it only when `minimizer` is read, so the many
+callers that need just the dominant point or the Tits-cone status do no
+Weyl-group multiplication.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .root_system import (
     _graph_components,
     affine_delta,
     classify_components,
+    classify_gcm,
 )
 
 IN_TITS_CONE = "InTitsCone"
@@ -63,16 +69,18 @@ ID_CAP = 1 << 20  # element ids per datum, for the life of the process
 class WeylElement:
     """A Weyl group element; its store builds one object per element, so equality is identity.
 
-    Hashing the Y-matrix keeps set orders independent of creation order.
+    `rho` is w applied to the store's regular dominant point, so
+    alpha_i(rho) < 0 exactly when i is a left descent of w.  Hashing the
+    Y-matrix keeps set orders independent of creation order.
     """
 
-    __slots__ = ("datum", "matrix", "word", "qinv", "id", "_left", "_hash")
+    __slots__ = ("datum", "matrix", "word", "rho", "id", "_left", "_hash")
 
-    def __init__(self, datum: RootDatum, matrix, word, qinv, wid: int):
+    def __init__(self, datum: RootDatum, matrix, word, rho: Point, wid: int):
         self.datum = datum
         self.matrix = matrix
         self.word = word
-        self.qinv = qinv  # root-coordinate matrix of the inverse element
+        self.rho = rho
         self.id = wid
         self._left: dict[int, WeylElement] = {}  # i -> r_i * self, filled by left_mul
         self._hash = hash(matrix)
@@ -103,9 +111,8 @@ class ElementStore:
     __slots__ = ("elems", "by_matrix")
 
     def __init__(self, datum: RootDatum):
-        e = WeylElement(
-            datum, linalg.identity_matrix(datum.rank_y), (), linalg.identity_matrix(datum.n), 0
-        )
+        rho = face_point(datum, (), range(datum.n))  # regular dominant: every alpha_i(rho) > 0
+        e = WeylElement(datum, linalg.identity_matrix(datum.rank_y), (), rho, 0)
         self.elems = [e]
         self.by_matrix = {e.matrix: e}
 
@@ -127,49 +134,36 @@ def _reflect_y(datum: RootDatum, i: int, matrix):
     )
 
 
-def _reflect_q(datum: RootDatum, i: int, qmat):
-    """A root-coordinate matrix times r_i, which maps alpha_j to alpha_j - a_ij alpha_i."""
-    a = datum.gcm.entries[i]
-    return tuple(tuple(q - row[i] * aic for q, aic in zip(row, a)) for row in qmat)
-
-
 def reflect(datum: RootDatum, i: int, v) -> Point:
     v = tuple(v)
     return linalg.vec_sub(v, linalg.vec_scale(datum.pairing(i, v), datum.coroots[i]))
 
 
-def _column_nonpositive(mat, col: int) -> bool:
-    return all(row[col] <= 0 for row in mat)
+def _first_negative(datum: RootDatum, v) -> int | None:
+    """The smallest i with alpha_i(v) < 0, or None when v is dominant."""
+    return next((i for i in range(datum.n) if datum.pairing(i, v) < 0), None)
 
 
-def _left_descents_of_qinv(datum: RootDatum, qinv) -> list[int]:
-    return [i for i in range(datum.n) if _column_nonpositive(qinv, i)]
+def _descend(datum: RootDatum, point: Point, limit: int | None):
+    """Reflect `point` at its smallest negative pairing until none is left.
+
+    Returns the dominant point reached and the indices reflected at, in
+    order, or None if more than `limit` reflections would be needed.  From
+    w.rho the indices spell the canonical word of w: each is the smallest
+    left descent of what is left.
+    """
+    word = []
+    while (i := _first_negative(datum, point)) is not None:
+        if limit is not None and len(word) >= limit:
+            return None
+        point = reflect(datum, i, point)
+        word.append(i)
+    return point, tuple(word)
 
 
 def left_descents(w: WeylElement) -> list[int]:
     """Indices i with l(r_i w) = l(w) - 1."""
-    return _left_descents_of_qinv(w.datum, w.qinv)
-
-
-def _strip_word(datum: RootDatum, qinv, limit: int) -> tuple[int, ...]:
-    """Recover the canonical reduced word from the inverse root-action matrix.
-
-    Repeatedly strips the smallest left descent; each strip shortens the
-    element by one, so `limit` bounds the loop.
-    """
-    ident = linalg.identity_matrix(datum.n)
-    word = []
-    cur = qinv
-    for _ in range(limit + 1):
-        if cur == ident:
-            return tuple(word)
-        ds = _left_descents_of_qinv(datum, cur)
-        if not ds:
-            raise AssertionError("non-identity element without left descent")
-        i = ds[0]
-        word.append(i)
-        cur = _reflect_q(datum, i, cur)
-    raise AssertionError("descent stripping did not terminate within the length bound")
+    return [i for i in range(w.datum.n) if w.datum.pairing(i, w.rho) < 0]
 
 
 def left_mul(i: int, w: WeylElement) -> WeylElement:
@@ -187,8 +181,12 @@ def left_mul(i: int, w: WeylElement) -> WeylElement:
         wid = len(store.elems)
         if wid >= ID_CAP:
             raise BudgetExceeded(ID_CAP, "Weyl elements of one root datum")
-        qinv = _reflect_q(datum, i, w.qinv)
-        x = WeylElement(datum, matrix, _strip_word(datum, qinv, w.length + 1), qinv, wid)
+        rho = reflect(datum, i, w.rho)
+        if _first_negative(datum, rho) == i:  # r_i w is longer, with smallest descent i
+            word = (i,) + w.word
+        else:
+            word = _descend(datum, rho, None)[1]  # one reflection per letter of r_i w
+        x = WeylElement(datum, matrix, word, rho, wid)
         store.elems.append(x)
         store.by_matrix[matrix] = x
     w._left[i] = x
@@ -235,11 +233,12 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         raise ValueError("elements belong to different root data")
     if u.length > w.length:
         return False
+    datum = u.datum
     x = inverse(u)  # the right descents of u are the left descents of x
     for i in reversed(w.word):
         if not x.word:
             return True
-        if _column_nonpositive(x.qinv, i):
+        if datum.pairing(i, x.rho) < 0:
             x = left_mul(i, x)
     return not x.word
 
@@ -279,7 +278,8 @@ class DominantReport:
 
     `word` lists the simple reflections applied to the input, in order;
     `minimizer` is the minimal-length w with w(dominant) = input, built
-    from that word (and so canonically re-stripped) each time it is read.
+    from that word (the store gives it its canonical word) each time it
+    is read.
     """
 
     datum: RootDatum = field(repr=False)
@@ -303,7 +303,7 @@ def dominant_representative(
 ) -> DominantReport:
     """Project lam to the dominant chamber, recording a minimal-length witness.
 
-    The loop reflects at the smallest i with alpha_i(lam) < 0.  Membership
+    `_descend` reflects at the smallest i with alpha_i(lam) < 0.  Membership
     in the Tits cone is decided exactly on finite components (always
     inside) and affine components (sign of the invariant form delta);
     indefinite components are semi-decided within `budget` steps.
@@ -326,17 +326,10 @@ def _project(datum: RootDatum, lam: Point, budget: int) -> DominantReport:
         elif comp.kind == INDEFINITE and any(v != 0 for v in vals):
             decided = False
 
-    cur = lam
-    applied: list[int] = []
-    while True:
-        i = next((j for j in range(datum.n) if datum.pairing(j, cur) < 0), None)
-        if i is None:
-            break
-        if not decided and len(applied) >= budget:
-            return DominantReport(datum, None, None, UNKNOWN)
-        cur = reflect(datum, i, cur)
-        applied.append(i)
-    return DominantReport(datum, cur, tuple(applied), IN_TITS_CONE)
+    found = _descend(datum, lam, None if decided else budget)
+    if found is None:
+        return DominantReport(datum, None, None, UNKNOWN)
+    return DominantReport(datum, *found, IN_TITS_CONE)
 
 
 def tits_cone_status(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -> str:
@@ -421,32 +414,20 @@ def orbit_is_finite(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) ->
     if st == UNKNOWN:
         raise TitsConeUndecided(tuple(lam), budget)
     if st == NOT_IN_TITS_CONE:
-        raise ValueError("orbit_is_finite expects a point of Y+")
-    report = classify_components(datum)
-    for comp in report.components:
-        if comp.kind == FINITE:
-            continue
-        if any(v != 0 for v in _component_pairings(datum, comp, lam)):
-            return False
-    return True
+        raise ValueError("orbit finiteness expects a point of Y+")
+    return suborbit_is_finite(datum, range(datum.n), lam)
 
 
 # --- parabolic subgroups and the non-sphericity witness ---
 
 @lru_cache(maxsize=None)
 def _sub_classification(gcm: GCM, indices: tuple[int, ...]) -> ComponentReport:
-    sub = gcm.submatrix(indices)
-    from .root_system import build_realization
-
-    return classify_components(build_realization(sub))
+    return classify_gcm(gcm.submatrix(indices))
 
 
 def parabolic_is_finite(datum: RootDatum, j: tuple[int, ...]) -> bool:
     """Whether the standard parabolic W_J is a finite group."""
-    j = tuple(sorted(j))
-    if not j:
-        return True
-    report = _sub_classification(datum.gcm, j)
+    report = _sub_classification(datum.gcm, tuple(sorted(j)))
     return all(c.kind == FINITE for c in report.components)
 
 
@@ -459,15 +440,10 @@ def suborbit_is_finite(datum: RootDatum, j: tuple[int, ...], v) -> bool:
     hyperbolic drift in the indefinite one).
     """
     j = tuple(sorted(j))
-    if not j:
-        return True
-    report = _sub_classification(datum.gcm, j)
-    for comp in report.components:
-        if comp.kind == FINITE:
-            continue
-        if any(datum.pairing(j[k], v) != 0 for k in comp.indices):
-            return False
-    return True
+    return all(
+        comp.kind == FINITE or all(datum.pairing(j[k], v) == 0 for k in comp.indices)
+        for comp in _sub_classification(datum.gcm, j).components
+    )
 
 
 def parabolic_elements(datum: RootDatum, j: tuple[int, ...], cap: int = 100_000) -> list[WeylElement]:

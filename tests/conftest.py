@@ -46,6 +46,14 @@ def chain3():
     )
 
 
+@pytest.fixture(scope="session")
+def det4():
+    """A1 x A1 whose coroots span an index-4 sublattice of their rational span."""
+    return build_realization(
+        validate_gcm([[2, 0], [0, 2]]), (3, [(2, 0, 0), (2, 2, 0)], [(1, -1, 0), (0, 1, 0)])
+    )
+
+
 def random_bl_element(datum, rng: random.Random, nterms=3, lam_bound=3, word_len=3):
     """A small random element: coefficients in Z, bounded support."""
     classes = param_ring_for(datum)

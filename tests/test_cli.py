@@ -442,6 +442,37 @@ def test_out_of_range_coordinates_refused(capsys, tmp_path, gcm, lam, exps):
     assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
 
 
+def _term(lam, word=()):
+    return [{"lambda": lam, "word": list(word), "coeff": [[[0, 0], 1]]}]
+
+
+@pytest.mark.parametrize(
+    "datum, left, right",
+    [
+        # each point fits a packed digit, but the product adds them; used to print Z^(-8388608)
+        ({"gcm": [[2]]}, _term([8388607]), _term([1])),
+        ({"gcm": [[2]]}, _term([1]), _term([8388607])),
+        # used to print Z^(-8388608,1,0)
+        ({"gcm": [[2, -2], [-2, 2]]}, _term([8388607, 0, 0]), _term([1, 0, 0])),
+        # H_1 Z^(0,1) reflects to (-2^22 - 2, -1), and the shift by (-2^22, 0) carried:
+        # used to print Z^(8388606,-2)·H_1 among the terms
+        (
+            {"gcm": [[2]], "rank_y": 2, "coroots": [[2097153, 1]], "roots": [[0, 2]]},
+            _term([-4194304, 0], [0]),
+            _term([0, 1]),
+        ),
+    ],
+)
+def test_sums_that_would_carry_refused(capsys, tmp_path, datum, left, right):
+    paths = []
+    for name, data in (("datum", datum), ("left", left), ("right", right)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    code, out, err = run(capsys, ["hecke", "mul", "--datum", *map(str, paths)])
+    assert code == 2 and out == ""
+    assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
+
+
 _A2 = {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1, 0], [0, 1]],
        "roots": [[2, -1], [-1, 2]]}
 _TERM = {"lambda": [1, 0], "word": [0], "coeff": [[[1], 2]]}

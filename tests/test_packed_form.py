@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kmhecke import hecke_bl
-from kmhecke.coeff_ring import LaurentPoly, pack, param_ring_for
-from kmhecke.errors import ExponentLengthMismatch, PointLengthMismatch
+from kmhecke.coeff_ring import SUM_HALF, LaurentPoly, pack, param_ring_for, require_summable
+from kmhecke.errors import CoordinateOutOfRange, ExponentLengthMismatch, PointLengthMismatch
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
 from kmhecke.weyl import element_from_word
 
@@ -149,6 +149,20 @@ def test_exact_div_matches_reference(args, multiple):
         assert got is not None and got.coeffs == want
     if multiple:
         assert want is not None
+
+
+_EDGES = [-2 * SUM_HALF, -SUM_HALF - 1, -SUM_HALF, -1, 0, SUM_HALF - 1, SUM_HALF, 2 * SUM_HALF - 1]
+_ENTRIES = st.one_of(st.sampled_from(_EDGES), st.integers(-2 * SUM_HALF, 2 * SUM_HALF - 1))
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=4))
+def test_summable_mask_matches_the_entries(e):
+    """The one-mask test of `require_summable` accepts exactly the vectors whose entries fit."""
+    if all(-SUM_HALF <= x < SUM_HALF for x in e):
+        require_summable(pack(e), len(e))
+    else:
+        with pytest.raises(CoordinateOutOfRange):
+            require_summable(pack(e), len(e))
 
 
 def test_decoded_coeffs_are_detached():

@@ -104,13 +104,6 @@ class TestBuildRealization:
             datum_from_json(data)
 
 
-def _det4():
-    """A1 x A1 whose coroots span an index-4 sublattice of their rational span."""
-    return build_realization(
-        validate_gcm([[2, 0], [0, 2]]), (3, [(2, 0, 0), (2, 2, 0)], [(1, -1, 0), (0, 1, 0)])
-    )
-
-
 class TestQCoords:
     def test_a2_identity_lattice(self, a2):
         q = q_coords(a2, (1, 2))
@@ -126,8 +119,7 @@ class TestQCoords:
     def test_extra_direction_not_in_coroot_span(self, aff):
         assert q_coords(aff, (0, 0, 1)) is None
 
-    def test_index_four_sublattice(self):
-        det4 = _det4()
+    def test_index_four_sublattice(self, det4):
         assert abs(det4._solver[2]) == 4
         assert q_coords(det4, (4, 2, 0)).coords == (1, 1)
         assert q_coords(det4, (2, 1, 0)) is None  # rational coordinates (1/2, 1/2)
@@ -141,9 +133,9 @@ class TestQCoords:
             q_coords(aff, (1, 1))
 
     @given(data=st.data())
-    def test_matches_rational_solver(self, a1, a2, aff, chain3, mixed3, data):
+    def test_matches_rational_solver(self, a1, a2, aff, chain3, mixed3, det4, data):
         """The stored integer solve agrees with the Fraction RREF solve, None included."""
-        datum = data.draw(st.sampled_from([a1, a2, aff, chain3, mixed3, _det4()]))
+        datum = data.draw(st.sampled_from([a1, a2, aff, chain3, mixed3, det4]))
         small = st.integers(-6, 6)
         if data.draw(st.booleans()):
             v = tuple(data.draw(st.lists(small, min_size=datum.rank_y, max_size=datum.rank_y)))

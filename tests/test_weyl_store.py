@@ -1,14 +1,17 @@
-"""The per-datum Weyl element store against the matrix arithmetic it replaced.
+"""The per-datum Weyl element store against matrix arithmetic and the Poincare series.
 
 The reference below multiplies the Y-matrices and the inverse root-action
 matrices of two elements and strips a canonical word from the product by
-descents, with nothing memoized.  `multiply`, `element_from_word`,
-`inverse`, `bruhat_interval` and `parabolic_elements`, which now fold the
-store's memoized `left_mul` over words, must give the same matrices,
-inverse matrices and canonical words, and `bruhat_leq` and
-`all_reduced_words` the same answers.  The store must also keep one object
-and one id per element, cache nothing for a bad index, refuse to grow past
-its id cap, and keep its ids out of another datum's elements.
+the column signs of the inverse matrix, with nothing memoized.
+`multiply`, `element_from_word`, `inverse`, `bruhat_interval` and
+`parabolic_elements`, which fold the store's memoized `left_mul` over
+words and read descents from the regular point an element carries, must
+give the same matrices and canonical words, `left_descents` the same
+descents, and `bruhat_leq` and `all_reduced_words` the same answers.  The
+number of elements of each length, found by a breadth-first walk over
+matrices, must equal the Poincare series.  The store must also keep one
+object and one id per element, cache nothing for a bad index, refuse to
+grow past its id cap, and keep its ids out of another datum's elements.
 """
 
 import copy
@@ -21,6 +24,7 @@ from kmhecke import linalg, weyl
 from kmhecke.coeff_ring import param_ring_for
 from kmhecke.errors import BudgetExceeded, SimpleIndexOutOfRange
 from kmhecke.hecke_bl import BLElement
+from kmhecke.root_system import build_realization, validate_gcm
 from kmhecke.weyl import (
     STORES,
     all_reduced_words,
@@ -29,6 +33,7 @@ from kmhecke.weyl import (
     element_from_word,
     identity,
     inverse,
+    left_descents,
     left_mul,
     multiply,
     parabolic_elements,
@@ -115,19 +120,28 @@ def ref_reduced_words(datum, qinv, prefix=()):
     return out
 
 
-def triple(w):
-    return w.matrix, w.word, w.qinv
+def ref_descents(qinv):
+    """i is a left descent of w iff column i of the inverse root-action matrix is nonpositive."""
+    return [i for i in range(len(qinv)) if all(row[i] <= 0 for row in qinv)]
+
+
+def pair(ref):
+    return ref[0], ref[1]
+
+
+def same(w, ref):
+    return (w.matrix, w.word) == pair(ref) and left_descents(w) == ref_descents(ref[2])
 
 
 # --- differential test --------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def data(a1, a2, aff, chain3, mixed3):
-    return {"a1": a1, "a2": a2, "aff": aff, "chain3": chain3, "mixed3": mixed3}
+def data(a1, a2, aff, chain3, mixed3, det4):
+    return {"a1": a1, "a2": a2, "aff": aff, "chain3": chain3, "mixed3": mixed3, "det4": det4}
 
 
-NAMES = st.sampled_from(["a1", "a2", "aff", "chain3", "mixed3"])
+NAMES = st.sampled_from(["a1", "a2", "aff", "chain3", "mixed3", "det4"])
 
 
 def words(datum, max_size):
@@ -142,11 +156,11 @@ def test_products_match_matrix_reference(data, name, draw):
     v = draw.draw(words(datum, 6))
     x, y = element_from_word(datum, u), element_from_word(datum, v)
     ref_x, ref_y = ref_from_word(datum, u), ref_from_word(datum, v)
-    assert triple(x) == ref_x
-    assert triple(multiply(x, y)) == ref_multiply(datum, ref_x, ref_y)
-    assert triple(inverse(x)) == ref_from_word(datum, tuple(reversed(x.word)))
+    assert same(x, ref_x)
+    assert same(multiply(x, y), ref_multiply(datum, ref_x, ref_y))
+    assert same(inverse(x), ref_from_word(datum, tuple(reversed(x.word))))
     interval = ref_bruhat_interval(datum, x.word)
-    assert {triple(w) for w in bruhat_interval(x)} == interval
+    assert {(w.matrix, w.word) for w in bruhat_interval(x)} == {pair(r) for r in interval}
     assert bruhat_leq(y, x) == (ref_y in interval)
     assert all_reduced_words(x) == ref_reduced_words(datum, ref_x[2])
 
@@ -158,7 +172,43 @@ def test_parabolic_elements_match_matrix_reference(data, name, draw):
     j = tuple(draw.draw(st.sets(st.integers(0, datum.n - 1))))
     if not parabolic_is_finite(datum, j):
         j = j[:1]
-    assert [triple(w) for w in parabolic_elements(datum, j)] == ref_parabolic(datum, j)
+    elems, ref = parabolic_elements(datum, j), ref_parabolic(datum, j)
+    assert len(elems) == len(ref) and all(same(w, r) for w, r in zip(elems, ref))
+
+
+# --- Poincare series -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "gcm, counts, finite",
+    [
+        ([[2, -1], [-1, 2]], [1, 2, 2, 1], True),  # A2
+        ([[2, -1], [-2, 2]], [1, 2, 2, 2, 1], True),  # B2
+        ([[2, -2], [-2, 2]], [1] + [2] * 8, False),  # affine A1: (1 + t) / (1 - t)
+        # affine A2: (1 + t + t^2) / (1 - t)^2, up to length 8
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 3] + [3 * k for k in range(2, 9)], False),
+    ],
+)
+def test_lengths_follow_the_poincare_series(gcm, counts, finite):
+    """Layer k of the Cayley graph, walked over Y-matrices, has counts[k] elements of length k."""
+    datum = build_realization(validate_gcm(gcm))
+    gens = [ref_reflection(datum, i)[0] for i in range(datum.n)]
+    layer = {linalg.identity_matrix(datum.rank_y): ()}  # matrix -> a shortest word
+    seen = set(layer)
+    for k, count in enumerate(counts):
+        assert len(layer) == count
+        for m, word in layer.items():
+            w = element_from_word(datum, word)
+            assert w.matrix == m and w.length == k
+        nxt = {}
+        for m, word in layer.items():
+            for i, g in enumerate(gens):
+                y = linalg.mat_mul(g, m)
+                if y not in seen:
+                    seen.add(y)
+                    nxt[y] = (i,) + word
+        layer = nxt
+    assert (not layer) == finite
 
 
 # --- canonical elements -------------------------------------------------------
