@@ -14,7 +14,12 @@ map, and the Bernstein-Lusztig product runs on the maps through
 `half=SUM_HALF` it refuses one outside half of it, and so does
 `require_summable` for a vector already packed; the sum of two such
 vectors cannot carry, and the product kernel holds the points it adds to
-that bound.  Sums of packed exponents inside `mul_acc` are not checked.
+that bound.  `mul_acc` adds packed exponents unchecked, so the products
+built on it (`LaurentPoly` `*`, and through it `**`, here; `mult_bl` and
+`BLElement.scale` in `hecke_bl`) first refuse, through `require_factors`,
+a factor with an exponent outside -FACTOR_HALF .. FACTOR_HALF - 1 (2^21).
+The kernel adds two such exponents to memo exponents bounded by word
+lengths, which stay below `weyl.ID_CAP` (2^20), so no sum reaches 2^23.
 Stored maps are never mutated; only a map its creator has just built is
 accumulated into.
 """
@@ -37,6 +42,7 @@ _BITS = 24
 _BASE = 1 << _BITS
 _HALF = _BASE >> 1
 SUM_HALF = _HALF >> 1  # entries of vectors that are added to one another in packed form
+FACTOR_HALF = SUM_HALF >> 1  # exponents of the factors of a coefficient product
 
 
 def pack(e, half: int = _HALF) -> int:
@@ -51,17 +57,36 @@ def pack(e, half: int = _HALF) -> int:
     return r
 
 
-def require_summable(r: int, n: int):
-    """Refuse the packed n-vector r unless every entry lies in -SUM_HALF .. SUM_HALF - 1.
+@lru_cache(maxsize=None)
+def _masks(n: int, half: int) -> tuple[int, int, int]:
+    """(offset, mask, want) testing packed n-vectors against -half .. half - 1.
 
-    With _HALF added to each digit, entry e becomes the unsigned digit
-    e + _HALF, which lies in SUM_HALF .. 3 * SUM_HALF - 1 exactly when its
-    top two bits differ; so one mask tests every entry without decoding.
+    With offset added, entry e becomes the unsigned digit e + _HALF.  For
+    half = 2^k <= SUM_HALF, e lies in -half .. half - 1 exactly when the
+    digit's bits 23 .. k read 01..1 or 10..0: bits 23 and 22 differ and
+    bits 22 .. k agree.  u ^ (u >> 1) sets bit j where bits j and j + 1
+    of u differ, so one mask over all n digits tests every entry.
     """
     ones = (_BASE**n - 1) // (_BASE - 1)  # the digit 1 in each of n places
-    u, top = r + _HALF * ones, SUM_HALF * ones
-    if (u ^ (u >> 1)) & top != top:
+    return _HALF * ones, (2 * SUM_HALF - half) * ones, SUM_HALF * ones
+
+
+def require_summable(r: int, n: int):
+    """Refuse the packed n-vector r unless every entry lies in -SUM_HALF .. SUM_HALF - 1."""
+    offset, mask, want = _masks(n, SUM_HALF)
+    u = r + offset
+    if (u ^ (u >> 1)) & mask != want:
         pack(unpack(r, n), SUM_HALF)  # raises, naming the entry
+
+
+def require_factors(maps, n: int):
+    """Refuse unless every exponent of the packed maps lies in -FACTOR_HALF .. FACTOR_HALF - 1."""
+    offset, mask, want = _masks(n, FACTOR_HALF)
+    for p in maps:
+        for e in p:
+            u = e + offset
+            if (u ^ (u >> 1)) & mask != want:
+                pack(unpack(e, n), FACTOR_HALF)  # raises, naming the entry
 
 
 def unpack(r: int, n: int) -> tuple[int, ...]:
@@ -206,6 +231,7 @@ class LaurentPoly:
             terms = self.packed.items() if other else ()
             return LaurentPoly.from_packed(self.nvars, {e: c * other for e, c in terms})
         self._check(other)
+        require_factors((self.packed, other.packed), self.nvars)
         return LaurentPoly.from_packed(self.nvars, mul(self.packed, other.packed))
 
     __rmul__ = __mul__

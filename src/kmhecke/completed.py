@@ -18,6 +18,15 @@ certificate also dominates the *dominant representatives* of its support
 rather than silently truncated; there are explicit series for which the
 coefficient sums genuinely diverge.
 
+One rule, `_product_certificate`, bounds the support of every product,
+and both Y-actions take their certificate from it as products with Z^mu,
+certified by (mu,) and dominant when mu is.  The generators of a * b are
+the sums ga + gb when the left factor has no Weyl part other than e or
+the right certificate is dominant (every point of R_u(mu) lies below
+mu^{++}).  Otherwise the right factor is explicit, and they are the sums
+ga + nu over nu in R_u(mu), for u in the left Weyl part and mu in the
+right support; that product drops the dominant reading.
+
 The finiteness argument is written once, as the walk `_contributions`:
 for a target point rho it yields each (lam, u, mus) through which the two
 factors can reach rho.  `compute_source_region` collects what it yields;
@@ -67,6 +76,7 @@ from .weyl import (
 CENTRAL = "Central"
 NOT_CENTRAL = "NotCentral"
 INCONCLUSIVE = "Inconclusive"
+REVERSE_WINDOW_CAP = 50_000  # (element, point) nodes one reverse-window search may visit
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,11 @@ class AFCertificate:
     generator in dominance order.  When `dominant` is set, generators
     additionally bound the dominant representatives of the Y-support;
     that stronger reading is what the product's finiteness engine needs
-    on its right-hand factor whenever the left factor has windows.
+    on its right-hand factor whenever the left factor has windows.  The
+    certificate of a product, and of either Y-action, comes from one
+    rule, `_product_certificate`: generators add when the left factor has
+    no Weyl part or the right certificate is dominant, and otherwise the
+    explicit right factor's windows take the place of its generators.
     """
 
     generators: tuple[Point, ...]
@@ -336,7 +350,7 @@ def _dominance_interval(datum: RootDatum, lo: Point, hi: Point) -> list[Point]:
     return out
 
 
-def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas, cap: int = 50_000):
+def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas):
     """All mu with nu in R_u(mu), pruned by the dominance bounds `kappas`.
 
     Sound because every point of every intermediate window (and its
@@ -356,7 +370,7 @@ def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas, cap: in
         key = (v, x)
         if best_room.get(key, -1) >= room:
             return
-        if len(best_room) >= cap:
+        if len(best_room) >= REVERSE_WINDOW_CAP:
             raise CapExceeded("reverse window search exceeded its cap")
         best_room[key] = room
         if not v.word:
@@ -472,20 +486,28 @@ def _require_known(points, a: TruncatedElement, b: TruncatedElement):
 
 
 def _product_certificate(a: TruncatedElement, b: TruncatedElement) -> AFCertificate:
-    gens = {
-        linalg.vec_add(ga, gb)
-        for ga in a.certificate.generators
-        for gb in b.certificate.generators
-    }
+    """Support bounds of a * b, by the one rule stated in the module docstring.
+
+    A term Z^lam H_u * Z^mu H_v lands on lam + R_u(mu) at Weyl parts x v
+    with x <= u.  When a has a Weyl part other than e and b's certificate
+    is not dominant, `_require_certifiable` has made sure that b is
+    explicit, so its windows are read from its support.
+    """
+    cert_a, cert_b = a.certificate, b.certificate
+    if cert_b.dominant or not any(u.word for u in cert_a.w_part):
+        tops, dominant = cert_b.generators, cert_a.dominant and cert_b.dominant
+    else:
+        right = b.known.support_y()
+        tops = {nu for u in cert_a.w_part for mu in right for nu in r_window(a.datum, u, mu)}
+        dominant = False
+    gens = {linalg.vec_add(ga, t) for ga in cert_a.generators for t in tops}
     ws: set[WeylElement] = set()
-    for u in a.certificate.w_part:
+    for u in cert_a.w_part:
         interval = bruhat_interval(u)
-        for v in b.certificate.w_part:
+        for v in cert_b.w_part:
             ws |= {multiply(x, v) for x in interval}
     return AFCertificate(
-        tuple(sorted(gens)),
-        tuple(sorted(ws, key=lambda w: (w.length, w.word))),
-        dominant=a.certificate.dominant and b.certificate.dominant,
+        tuple(sorted(gens)), tuple(sorted(ws, key=lambda w: (w.length, w.word))), dominant
     )
 
 
@@ -555,28 +577,24 @@ def bimodule_act(
     commutation window across mu, so exactness survives only where every
     pulled-back source is known (computed pointwise; pass a target to
     choose the output coordinates, and be refused at its first uncertified
-    point).
+    point).  Both sides take their certificate from `_product_certificate`,
+    with Z^mu certified by (mu,), dominant when mu is.
     """
     mu = tuple(mu)
     datum, classes = a.datum, a.classes
     zmu = BLElement.z_monomial(datum, classes, mu)
-    gens = tuple(sorted(linalg.vec_add(g, mu) for g in a.certificate.generators))
+    dominant = all(datum.pairing(i, mu) >= 0 for i in range(datum.n))
+    z = TruncatedElement(datum, classes, None, zmu, AFCertificate((mu,), (), dominant))
     if side == "left":
         known = mult_bl(zmu, a.known)
         region = None if a.region is None else a.region.translated(mu)
-        cert = AFCertificate(gens, a.certificate.w_part, a.certificate.dominant)
+        cert = _product_certificate(z, a)
     elif side == "right":
         # a * Z^mu, exact wherever every pulled-back source is known
         known = mult_bl(a.known, zmu)
-        ws: set[WeylElement] = set()
-        for w in a.certificate.w_part:
-            ws |= bruhat_interval(w)
-        cert = AFCertificate(
-            gens, tuple(sorted(ws, key=lambda x: (x.length, x.word))), a.certificate.dominant
-        )
+        cert = _product_certificate(a, z)
         region = None
         if a.region is not None:
-            z = TruncatedElement(datum, classes, None, zmu, AFCertificate((mu,), ()))
             if target is not None:
                 certified = target.enumerate(datum)
                 _require_known(certified, a, z)

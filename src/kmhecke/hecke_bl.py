@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import linalg
 from .coeff_ring import SUM_HALF, LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
-from .coeff_ring import require_summable
+from .coeff_ring import require_factors, require_summable
 from .errors import BudgetExceeded, PointLengthMismatch, json_ints, json_value
 from .root_system import Point, RootDatum
 from .weyl import (
@@ -169,6 +169,7 @@ class BLElement:
         return self + (-other)
 
     def scale(self, poly: LaurentPoly) -> "BLElement":
+        require_factors((*self.packed.values(), poly.packed), poly.nvars)
         out = {k: pq for k, p in self.packed.items() if (pq := mul(p, poly.packed))}
         return BLElement.from_packed(self.datum, self.classes, out)
 
@@ -241,8 +242,13 @@ class BLElement:
 # point of the H_u Z^mu memo lies in -SUM_HALF .. SUM_HALF - 1 (2^22):
 # the memo refuses (CoordinateOutOfRange) a mu or a reflected point
 # outside that range, and `mult_bl` a point of its left factor outside it.
+# A window has |alpha_i(nu)| terms; one longer than WINDOW_CAP is refused
+# (BudgetExceeded) before any term is built, and so is a segment of
+# `r_window`, which spans the same range.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
+WINDOW_CAP = 1 << 16  # terms of one commutation window
+R_WINDOW_CAP = 10_000  # Weyl elements one `r_window` recursion may visit
 _FILL_STRIDE = 64  # letters between the suffixes a long miss of the H_u Z^mu memo fills first
 
 
@@ -263,6 +269,8 @@ def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
     """
     nu = unpack(pnu, datum.rank_y)
     m = datum.pairing(i, nu)
+    if abs(m) > WINDOW_CAP:
+        raise BudgetExceeded(WINDOW_CAP, f"a commutation window of {abs(m)} terms")
     pco = pack(datum.coroots[i])
     # the window lies between nu and its reflection, so this bounds it too
     prnu = pack(linalg.vec_sub(nu, linalg.vec_scale(m, datum.coroots[i])), SUM_HALF)
@@ -373,6 +381,7 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     datum, classes = a.datum, a.classes
     for shift in {k // ID_CAP for k in a.packed}:
         require_summable(shift, datum.rank_y)
+    require_factors((*a.packed.values(), *b.packed.values()), classes.nclasses)
     groups = defaultdict(list)
     for key_b, pb in b.packed.items():
         vid = key_b % ID_CAP
@@ -396,12 +405,14 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     return BLElement.from_packed(datum, classes, _settle(out))
 
 
-def r_window(datum: RootDatum, w: WeylElement, lam, cap: int = 10_000) -> frozenset[Point]:
+def r_window(datum: RootDatum, w: WeylElement, lam) -> frozenset[Point]:
     """The finite set R_w(lam), over the shared-prefix DAG of reduced words."""
     memo: dict[WeylElement, frozenset[Point]] = {}
 
     def segment(i: int, x: Point) -> list[Point]:
         m = datum.pairing(i, x)
+        if abs(m) > WINDOW_CAP:
+            raise BudgetExceeded(WINDOW_CAP, f"a window segment of {abs(m) + 1} points")
         co = datum.coroots[i]
         step = 1 if m >= 0 else -1
         return [linalg.vec_sub(x, linalg.vec_scale(h, co)) for h in range(0, m + step, step)]
@@ -409,8 +420,8 @@ def r_window(datum: RootDatum, w: WeylElement, lam, cap: int = 10_000) -> frozen
     def rec(v: WeylElement) -> frozenset[Point]:
         if v in memo:
             return memo[v]
-        if len(memo) >= cap:
-            raise BudgetExceeded(cap, "window recursion")
+        if len(memo) >= R_WINDOW_CAP:
+            raise BudgetExceeded(R_WINDOW_CAP, "window recursion")
         if not v.word:
             res = frozenset({tuple(lam)})
         else:

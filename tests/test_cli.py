@@ -473,6 +473,24 @@ def test_sums_that_would_carry_refused(capsys, tmp_path, datum, left, right):
     assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
 
 
+def test_exponent_sums_that_would_carry_refused(capsys, tmp_path):
+    """Used to print σ1^-8388608·σ1': the product added the exponents 2^23 - 1 and 1."""
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    left.write_text(json.dumps([{"lambda": [0], "word": [], "coeff": [[[8388607, 0], 1]]}]))
+    right.write_text(json.dumps([{"lambda": [0], "word": [], "coeff": [[[1, 0], 1]]}]))
+    code, out, err = run(capsys, ["hecke", "mul", "--datum", _golden("a1.json"), str(left), str(right)])
+    assert code == 2 and out == ""
+    assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
+
+
+def test_huge_commutation_window_exhausts_its_budget(capsys):
+    """H_1 Z^(4194303) on A1 has a window of 8388606 terms; it is refused before any is built."""
+    argv = ["hecke", "commute", "--datum", _golden("a1.json"), "--index", "0", "--point", "4194303"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "8388606 terms" in err and err.count("\n") == 1
+
+
 _A2 = {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1, 0], [0, 1]],
        "roots": [[2, -1], [-1, 2]]}
 _TERM = {"lambda": [1, 0], "word": [0], "coeff": [[[1], 2]]}
@@ -578,3 +596,27 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, tmp_path):
         codes.add(got[0])
     assert codes == {0, 2}
     assert build_parser() is build_parser()
+
+
+def test_chained_products_refuse_what_the_windows_reach(capsys, tmp_path):
+    """H_1 Z^(-1) has a term at Z^(1), above the right factor's one generator
+    (-1), which is not dominant.  The product's certificate used to be that
+    generator alone, so the next product read its Z^(1) coefficient as 0."""
+    a1 = _golden("a1.json")
+    code, out, _ = run(capsys, [
+        "--format", "json", "complete", "mul", "--datum", a1,
+        _golden("a1_h1.json"), _golden("a1_z_weak.json"), "--region-gens", "0", "--region-height", "1",
+    ])
+    assert code == 0
+    product, unit = tmp_path / "product.json", tmp_path / "unit.json"
+    product.write_text(out)
+    unit.write_text(json.dumps({
+        "region": None,
+        "certificate": {"gens": [[0]], "w_part": [[]], "dominant": True},
+        "coeffs": [{"lambda": [0], "word": [], "coeff": [[[0, 0], 1]]}],
+    }))
+    code, out, err = run(capsys, [
+        "complete", "mul", "--datum", a1, str(product), str(unit), "--region-gens", "1", "--region-height", "0",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("InsufficientSource: ") and "(1,)" in err

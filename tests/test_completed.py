@@ -219,6 +219,20 @@ class TestBimodule:
         assert BLElement(a2, classes, dict(left.coeffs)) == mult_bl(z, el)
         assert BLElement(a2, classes, dict(right.coeffs)) == mult_bl(el, z)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_dominant_shift_keeps_no_dominant_bound(self, a1, side):
+        """Z^(-1) E(1) = 1 + Z^(-2).  Shifted from a truncation that knows
+        only Z^(1), the coefficient at Z^(-2) is unknown; the shift used to
+        keep the dominant reading, which called it 0."""
+        classes = param_ring_for(a1)
+        a = e_function_expand(EFunction.single(a1, classes, (1,)), Region.cone([(1,)], 0))
+        shifted = bimodule_act((-1,), a, side)
+        assert not shifted.certificate.dominant
+        unit = TruncatedElement.from_bl(BLElement.unit(a1, classes))
+        with pytest.raises(InsufficientSource) as refused:
+            mult_truncated(shifted, unit, Region.cone([(0,)], 2))
+        assert refused.value.needed == ("left", (-2,), identity(a1))
+
     def test_left_shift_may_leave_y_plus(self, aff):
         classes = param_ring_for(aff)
         unit = TruncatedElement.from_bl(BLElement.unit(aff, classes))

@@ -4,7 +4,7 @@ import pytest
 
 from kmhecke import hecke_bl
 from kmhecke.coeff_ring import param_ring_for
-from kmhecke.errors import SimpleIndexOutOfRange
+from kmhecke.errors import BudgetExceeded, SimpleIndexOutOfRange
 from kmhecke.hecke_bl import (
     BLElement,
     commute_Hi_past_Z,
@@ -12,6 +12,7 @@ from kmhecke.hecke_bl import (
     mult_bl,
     r_window,
 )
+from kmhecke.root_system import build_realization, validate_gcm
 from kmhecke.weyl import bruhat_interval, element_from_word, identity, multiply
 
 from conftest import random_bl_element
@@ -86,6 +87,31 @@ class TestMultBL:
                 b = random_bl_element(datum, rng, nterms=2, lam_bound=2, word_len=2)
                 c = random_bl_element(datum, rng, nterms=2, lam_bound=2, word_len=2)
                 assert mult_bl(mult_bl(a, b), c) == mult_bl(a, mult_bl(b, c))
+
+
+class TestWindowBudget:
+    """With the coroot (2,) and the root (1,), H_1 Z^(x) has a window of x
+    terms and R_{r_1}(x) x + 1 points, so every length meets the cap."""
+
+    @pytest.fixture(scope="class")
+    def odd(self):
+        return build_realization(validate_gcm([[2]]), (1, [(2,)], [(1,)]))
+
+    def test_windows_up_to_the_cap_are_built(self, odd):
+        classes = param_ring_for(odd)
+        cap = hecke_bl.WINDOW_CAP
+        assert len(commute_Hi_past_Z(odd, classes, 0, (cap,)).packed) == cap + 1
+        with pytest.raises(BudgetExceeded):
+            commute_Hi_past_Z(odd, classes, 0, (cap + 1,))
+
+    def test_r_window_segments_share_the_cap(self, odd):
+        r1 = element_from_word(odd, [0])
+        cap = hecke_bl.WINDOW_CAP
+        assert len(r_window(odd, r1, (cap,))) == cap + 1
+        with pytest.raises(BudgetExceeded):
+            r_window(odd, r1, (cap + 1,))
+        with pytest.raises(BudgetExceeded):  # 4194304 points, refused before any is built
+            r_window(odd, r1, (4194303,))
 
 
 class TestRWindow:

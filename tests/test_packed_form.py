@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kmhecke import hecke_bl
-from kmhecke.coeff_ring import SUM_HALF, LaurentPoly, pack, param_ring_for, require_summable
+from kmhecke.coeff_ring import FACTOR_HALF, SUM_HALF, LaurentPoly, pack, param_ring_for
+from kmhecke.coeff_ring import require_factors, require_summable
 from kmhecke.errors import CoordinateOutOfRange, ExponentLengthMismatch, PointLengthMismatch
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
-from kmhecke.weyl import element_from_word
+from kmhecke.weyl import element_from_word, identity
 
 
 # --- tuple-keyed reference ---------------------------------------------------
@@ -163,6 +164,41 @@ def test_summable_mask_matches_the_entries(e):
     else:
         with pytest.raises(CoordinateOutOfRange):
             require_summable(pack(e), len(e))
+
+
+_FACTOR_EDGES = [-2 * FACTOR_HALF, -FACTOR_HALF - 1, -FACTOR_HALF, 0, FACTOR_HALF - 1, FACTOR_HALF]
+_FACTOR_ENTRIES = st.one_of(st.sampled_from(_FACTOR_EDGES), st.integers(-SUM_HALF, SUM_HALF))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.tuples(*[_FACTOR_ENTRIES] * n), max_size=3), max_size=3)
+)))
+def test_factor_mask_matches_the_exponents(args):
+    """The one-mask test of `require_factors` accepts exactly the maps whose exponents fit."""
+    n, maps = args
+    packed = [{pack(e): 1 for e in m} for m in maps]
+    if all(-FACTOR_HALF <= x < FACTOR_HALF for m in maps for e in m for x in e):
+        require_factors(packed, n)
+    else:
+        with pytest.raises(CoordinateOutOfRange):
+            require_factors(packed, n)
+
+
+def test_products_refuse_exponents_that_would_carry(a1):
+    """Each of these products used to return an exponent that had carried into the next one."""
+    classes = param_ring_for(a1)
+    big, one_up = LaurentPoly(2, {(8388607, 0): 1}), LaurentPoly(2, {(1, 0): 1})
+    raised = BLElement(a1, classes, {((0,), identity(a1)): one_up})
+    products = (
+        lambda: big * one_up,
+        lambda: big ** 2,
+        lambda: LaurentPoly(2, {(-8388608, 0): 1}) ** -1,
+        lambda: raised.scale(big),
+        lambda: mult_bl(raised, BLElement(a1, classes, {((0,), identity(a1)): big})),
+    )
+    for product in products:
+        with pytest.raises(CoordinateOutOfRange):
+            product()
 
 
 def test_decoded_coeffs_are_detached():

@@ -86,7 +86,8 @@ def _shift_reference(mu, a: TruncatedElement) -> TruncatedElement:
     coeffs = {(linalg.vec_add(lam, mu), w): p for (lam, w), p in a.coeffs.items()}
     region = None if a.region is None else a.region.translated(mu)
     gens = tuple(sorted(linalg.vec_add(g, mu) for g in a.certificate.generators))
-    cert = AFCertificate(gens, a.certificate.w_part, a.certificate.dominant)
+    dominant = a.certificate.dominant and all(datum.pairing(i, mu) >= 0 for i in range(datum.n))
+    cert = AFCertificate(gens, a.certificate.w_part, dominant)
     leaves = any(tits_cone_status(datum, lam) != IN_TITS_CONE for (lam, _) in coeffs)
     return TruncatedElement(
         datum, a.classes, region, coeffs, cert, in_bl_bar=a.in_bl_bar or leaves
