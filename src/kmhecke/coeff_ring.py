@@ -260,9 +260,12 @@ class LaurentPoly:
         runs by leading-term elimination in the order of the packed keys
         (lexicographic from the last variable), which terminates because
         exponents are bounded below by zero.  An exact quotient is unique,
-        so the order chosen does not change the answer.
+        so the order chosen does not change the answer.  Like `*`, it refuses
+        an exponent of either operand outside -FACTOR_HALF .. FACTOR_HALF - 1,
+        so every quotient exponent fits its packed digit.
         """
         self._check(other)
+        require_factors((self.packed, other.packed), self.nvars)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():

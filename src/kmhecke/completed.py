@@ -25,7 +25,8 @@ the sums ga + gb when the left factor has no Weyl part other than e or
 the right certificate is dominant (every point of R_u(mu) lies below
 mu^{++}).  Otherwise the right factor is explicit, and they are the sums
 ga + nu over nu in R_u(mu), for u in the left Weyl part and mu in the
-right support; that product drops the dominant reading.
+right support; that product drops the dominant reading.  Only the sums
+maximal in dominance order are kept.
 
 The finiteness argument is written once, as the walk `_contributions`:
 for a target point rho it yields each (lam, u, mus) through which the two
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import comb
 
 from . import linalg
 from .coeff_ring import LaurentPoly, ParamClasses
@@ -54,8 +57,8 @@ from .hecke_bl import BLElement, mult_bl, r_window
 from .root_system import (
     Point,
     RootDatum,
+    dominance_coords,
     height_between,
-    q_coords,
 )
 from .weyl import (
     IN_TITS_CONE,
@@ -77,6 +80,8 @@ CENTRAL = "Central"
 NOT_CENTRAL = "NotCentral"
 INCONCLUSIVE = "Inconclusive"
 REVERSE_WINDOW_CAP = 50_000  # (element, point) nodes one reverse-window search may visit
+REGION_MEMO_SIZE = 1 << 7  # (region, datum) entries of the cone-enumeration memo
+REGION_MEMO_POINTS = 1 << 12  # candidate points of the largest cone it keeps
 
 
 @dataclass(frozen=True)
@@ -120,19 +125,13 @@ class Region:
         return False
 
     def enumerate(self, datum: RootDatum) -> list[Point]:
+        """The region's points in sorted order, as a fresh list."""
         if self.points is not None:
             return sorted(self.points)
-        seen: set[Point] = set()
-        for g in self.generators:
-            for q in _bounded_compositions(datum.n, self.height):
-                lam = tuple(g)
-                for i, c in enumerate(q):
-                    lam = linalg.vec_sub(lam, linalg.vec_scale(c, datum.coroots[i]))
-                if lam in seen:
-                    continue
-                if not self.require_tits or in_y_plus(datum, lam):
-                    seen.add(lam)
-        return sorted(seen)
+        walk = _cone_points
+        if len(self.generators) * comb(self.height + datum.n, datum.n) > REGION_MEMO_POINTS:
+            walk = _cone_points.__wrapped__  # too many candidates to keep
+        return list(walk(self, datum))
 
     def translated(self, mu) -> "Region":
         mu = tuple(mu)
@@ -164,6 +163,21 @@ class Region:
             json_value(data["height"], int, "a region height"),
             json_value(data.get("require_tits", True), bool, "require_tits"),
         )
+
+
+@lru_cache(maxsize=REGION_MEMO_SIZE)
+def _cone_points(region: Region, datum: RootDatum) -> tuple[Point, ...]:
+    seen: set[Point] = set()
+    for g in region.generators:
+        for q in _bounded_compositions(datum.n, region.height):
+            lam = tuple(g)
+            for i, c in enumerate(q):
+                lam = linalg.vec_sub(lam, linalg.vec_scale(c, datum.coroots[i]))
+            if lam in seen:
+                continue
+            if not region.require_tits or in_y_plus(datum, lam):
+                seen.add(lam)
+    return tuple(sorted(seen))
 
 
 def _bounded_compositions(n: int, budget: int):
@@ -338,11 +352,11 @@ def truncated_from_json(datum: RootDatum, classes: ParamClasses, data) -> Trunca
 # --- the product's certification engine ---
 
 def _dominance_interval(datum: RootDatum, lo: Point, hi: Point) -> list[Point]:
-    q = q_coords(datum, linalg.vec_sub(hi, lo))
-    if q is None or not q.is_nonnegative():
+    q = dominance_coords(datum, lo, hi)
+    if q is None:
         return []
     out = []
-    for combo in itertools.product(*(range(c + 1) for c in q.coords)):
+    for combo in itertools.product(*(range(c + 1) for c in q)):
         x = tuple(lo)
         for i, c in enumerate(combo):
             x = linalg.vec_add(x, linalg.vec_scale(c, datum.coroots[i]))
@@ -501,6 +515,11 @@ def _product_certificate(a: TruncatedElement, b: TruncatedElement) -> AFCertific
         tops = {nu for u in cert_a.w_part for mu in right for nu in r_window(a.datum, u, mu)}
         dominant = False
     gens = {linalg.vec_add(ga, t) for ga in cert_a.generators for t in tops}
+    # keep the maximal sums: the union of their down-sets is the same
+    gens = [
+        g for g in gens
+        if not any(h != g and height_between(a.datum, g, h) is not None for h in gens)
+    ]
     ws: set[WeylElement] = set()
     for u in cert_a.w_part:
         interval = bruhat_interval(u)

@@ -12,6 +12,12 @@ heights) are an integer solve: each datum stores, once, n independent
 rows of its coroot matrix with the integer adjugate and determinant of
 that block, so a solve is a few integer multiplies, one divisibility
 test per coordinate and a check of every row.
+
+Dominance comparisons (`dominance_coords`, and `height_between` and
+`dominance_leq` on top of it) are memoized in one table of at most
+`DOMINANCE_MEMO_SIZE` entries keyed on `(datum, lo, hi)`.  Point lengths
+are checked before the table is read, so every call with a wrong-length
+point raises `PointLengthMismatch` and no refusal is cached.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ Point = tuple[int, ...]
 FINITE = "Finite"
 AFFINE = "Affine"
 INDEFINITE = "Indefinite"
+DOMINANCE_MEMO_SIZE = 1 << 14  # (datum, lo, hi) entries of the dominance memo
 
 
 @dataclass(frozen=True)
@@ -223,15 +230,26 @@ def dominance_leq(datum: RootDatum, x, y) -> bool:
     return height_between(datum, x, y) is not None
 
 
-def height_between(datum: RootDatum, lo, hi) -> int | None:
-    """Height of hi - lo when lo <= hi in dominance order, else None."""
-    for p in (lo, hi):  # checked here, since the subtraction below truncates
+def dominance_coords(datum: RootDatum, lo, hi) -> Point | None:
+    """Coroot coordinates of hi - lo when lo <= hi in dominance order, else None."""
+    for p in (lo, hi):  # checked on every call, so a refusal is never memoized
         if len(p) != datum.rank_y:
             raise PointLengthMismatch(p, datum.rank_y)
-    q = q_coords(datum, linalg.vec_sub(tuple(hi), tuple(lo)))
+    return _dominance_coords(datum, tuple(lo), tuple(hi))
+
+
+def height_between(datum: RootDatum, lo, hi) -> int | None:
+    """Height of hi - lo when lo <= hi in dominance order, else None."""
+    q = dominance_coords(datum, lo, hi)
+    return None if q is None else sum(q)
+
+
+@lru_cache(maxsize=DOMINANCE_MEMO_SIZE)
+def _dominance_coords(datum: RootDatum, lo: Point, hi: Point) -> Point | None:
+    q = q_coords(datum, linalg.vec_sub(hi, lo))
     if q is None or not q.is_nonnegative():
         return None
-    return q.height
+    return q.coords
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ UNKNOWN = "Unknown"
 
 DEFAULT_TITS_BUDGET = 1000
 PROJECTION_MEMO_SIZE = 1 << 14  # entries of the dominant-projection memo
+ORBIT_MEMO_SIZE = 1 << 7  # entries of the orbit memo
+ORBIT_MEMO_POINTS = 1 << 12  # points of the largest orbit it keeps
 ID_CAP = 1 << 20  # element ids per datum, for the life of the process
 
 
@@ -371,6 +373,28 @@ def orbit_enumerate(
     start = tuple(lam)
     if len(start) != datum.rank_y:
         raise PointLengthMismatch(start, datum.rank_y)
+    got = _orbit_memo(datum, start, max_length, max_height_drop, max_count)
+    if got is None:
+        got = _orbit_walk(datum, start, max_length, max_height_drop, max_count)
+    return got
+
+
+@lru_cache(maxsize=ORBIT_MEMO_SIZE)
+def _orbit_memo(
+    datum: RootDatum, start: Point, max_length, max_height_drop, max_count
+) -> OrbitResult | None:
+    """The walk's result when it has at most ORBIT_MEMO_POINTS points, else None.
+
+    Past that size the walk is cut at ORBIT_MEMO_POINTS + 1 points; until
+    then the count cap is not reached, so a smaller result is the full one.
+    """
+    if max_count is not None and max_count <= ORBIT_MEMO_POINTS:
+        return _orbit_walk(datum, start, max_length, max_height_drop, max_count)
+    got = _orbit_walk(datum, start, max_length, max_height_drop, ORBIT_MEMO_POINTS + 1)
+    return got if len(got) <= ORBIT_MEMO_POINTS else None
+
+
+def _orbit_walk(datum: RootDatum, start: Point, max_length, max_height_drop, max_count):
     seen: dict[Point, int] = {start: 0}  # point -> height offset from start
     frontier = [start]
     depth = 0

@@ -400,22 +400,34 @@ def test_truncated_json_round_trip(a2):
 
 
 
-# dominant points of each datum from which certificates and targets are drawn
+# dominant points of each datum from which certificates are drawn, and the
+# tops of the targets (the points themselves, where a product of two
+# certificates can reach them)
+_A1_POINTS = ((0,), (1,), (2,))
+_A2_POINTS = ((0, 0), (1, 1), (2, 1), (1, 2))
 _DATA = (
-    (build_realization(validate_gcm([[2]])), ((0,), (1,), (2,))),
+    (build_realization(validate_gcm([[2]])), _A1_POINTS, _A1_POINTS),
     (
         build_realization(
             validate_gcm([[2, -1], [-1, 2]]), (2, [(1, 0), (0, 1)], [(2, -1), (-1, 2)])
         ),
-        ((0, 0), (1, 1), (2, 1), (1, 2)),
+        _A2_POINTS,
+        _A2_POINTS,
+    ),
+    # affine A1, whose windows reach orbit points without bound; levels add
+    # under products, so the targets sit at level 2
+    (
+        build_realization(validate_gcm([[2, -2], [-2, 2]])),
+        ((0, 0, 1), (1, 1, 1)),
+        ((0, 0, 2), (1, 1, 2), (2, 2, 2)),
     ),
 )
 
 
 @st.composite
 def _certified_product(draw):
-    """Certificates on A1 or A2 with Weyl parts in {e, r_1}, and a cone target."""
-    datum, points = draw(st.sampled_from(_DATA))
+    """Certificates on A1, A2 or affine A1 with Weyl parts in {e, r_1}, and a cone target."""
+    datum, points, tops = draw(st.sampled_from(_DATA))
     e, r1 = identity(datum), element_from_word(datum, [0])
 
     def cert(dominant):
@@ -426,7 +438,7 @@ def _certified_product(draw):
     cert_a = cert(False)
     # windows from the left need dominant bounds on the right
     cert_b = cert(any(u.word for u in cert_a.w_part))
-    target = Region.cone([draw(st.sampled_from(points))], draw(st.integers(0, 3)))
+    target = Region.cone([draw(st.sampled_from(tops))], draw(st.integers(0, 3)))
     return datum, cert_a, cert_b, target, draw(st.integers(0, 2**16))
 
 

@@ -201,6 +201,17 @@ def test_products_refuse_exponents_that_would_carry(a1):
             product()
 
 
+def test_quotients_refuse_exponents_that_would_carry():
+    """sigma^(2^23 - 1) / sigma^(-1) and 1 / sigma^(-2^23) used to return sigma^(-2^23)."""
+    big, low = LaurentPoly(1, {(8388607,): 1}), LaurentPoly(1, {(-1,): 1})
+    one, lowest = LaurentPoly(1, {(0,): 1}), LaurentPoly(1, {(-8388608,): 1})
+    for num, den in ((big, low), (one, lowest), (low, big), (LaurentPoly(1, {(FACTOR_HALF,): 1}), low)):
+        with pytest.raises(CoordinateOutOfRange):
+            num.exact_div(den)
+    edge = LaurentPoly(1, {(FACTOR_HALF - 1,): 1})
+    assert edge.exact_div(low) == LaurentPoly(1, {(FACTOR_HALF,): 1})
+
+
 def test_decoded_coeffs_are_detached():
     p = LaurentPoly(2, {(1, -2): 3, (0, 0): -1})
     decoded = p.coeffs
