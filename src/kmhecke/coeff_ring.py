@@ -9,15 +9,16 @@ This module owns the one stored form of a polynomial: a `{packed
 exponents: int}` map with no zero entries, where `pack` writes an exponent
 vector as one integer in balanced base 2^24 digits, so multiplying
 monomials is integer addition.  `LaurentPoly` is a view over one such
-map, and the Bernstein-Lusztig product runs on the maps through
-`mul_acc`.  `pack` refuses an entry outside the digit range.  With
-`half=SUM_HALF` it refuses one outside half of it, and so does
-`require_summable` for a vector already packed; the sum of two such
-vectors cannot carry, and the product kernel holds the points it adds to
-that bound.  `mul_acc` adds packed exponents unchecked, so the products
-built on it (`LaurentPoly` `*`, and through it `**`, here; `mult_bl` and
-`BLElement.scale` in `hecke_bl`) first refuse, through `require_factors`,
-a factor with an exponent outside -FACTOR_HALF .. FACTOR_HALF - 1 (2^21).
+map, and the Bernstein-Lusztig product runs on the maps themselves,
+through `mul` and the multiply-accumulate loops of `hecke_bl`.  `pack`
+refuses an entry outside the digit range.  With `half=SUM_HALF` it
+refuses one outside half of it, and so does `require_summable` for a
+vector already packed; the sum of two such vectors cannot carry, and the
+product kernel holds the points it adds to that bound.  Products add
+packed exponents unchecked, so the products (`LaurentPoly` `*`, and
+through it `**`, here; `mult_bl` and `BLElement.scale` in `hecke_bl`)
+first refuse, through `require_factors`, a factor with an exponent
+outside -FACTOR_HALF .. FACTOR_HALF - 1 (2^21).
 The kernel adds two such exponents to memo exponents bounded by word
 lengths, which stay below `weyl.ID_CAP` (2^20), so no sum reaches 2^23.
 Stored maps are never mutated; only a map its creator has just built is
@@ -26,7 +27,6 @@ accumulated into.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -99,33 +99,21 @@ def unpack(r: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mul_acc(tgt: defaultdict, p: Packed, q: Packed):
-    """tgt += p * q without allocating the intermediate product.
-
-    `tgt` is a `defaultdict(int)` the caller owns and may end up holding
-    zero entries; p and q are only read.
-    """
+def mul(p: Packed, q: Packed) -> Packed:
+    """The product p * q of zero-free maps, as a new zero-free map."""
     if len(p) == 1:
         p, q = q, p
-    if len(q) == 1:
+    if len(q) == 1:  # distinct exponents stay distinct, nonzero coefficients nonzero
         ((e2, c2),) = q.items()
         if c2 == 1:
-            for e1, c1 in p.items():
-                tgt[e1 + e2] += c1
-        else:
-            for e1, c1 in p.items():
-                tgt[e1 + e2] += c1 * c2
-        return
+            return {e1 + e2: c1 for e1, c1 in p.items()}
+        return {e1 + e2: c1 * c2 for e1, c1 in p.items()}
+    out: Packed = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            tgt[e1 + e2] += c1 * c2
-
-
-def mul(p: Packed, q: Packed) -> Packed:
-    """The product p * q as a new zero-free map."""
-    tgt: defaultdict = defaultdict(int)
-    mul_acc(tgt, p, q)
-    return {e: c for e, c in tgt.items() if c}
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
 def add(p: Packed, q: Packed) -> Packed:
@@ -378,6 +366,10 @@ class ParamClasses:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.n, self.class_of)))
         object.__setattr__(self, "_nclasses", max(self.class_of) + 1)
+        # the kernel's letter constants, shared and never mutated
+        object.__setattr__(self, "_one", {0: 1})
+        smi = [{_BASE**k: 1, -(_BASE**k): -1} for k in range(self._nclasses)]
+        object.__setattr__(self, "_smi", tuple(smi[k] for k in self.class_of))
 
     def __hash__(self):
         return self._hash
@@ -385,6 +377,15 @@ class ParamClasses:
     @property
     def nclasses(self) -> int:
         return self._nclasses
+
+    @property
+    def one_packed(self) -> Packed:
+        """The packed map of 1, shared: never mutate it."""
+        return self._one
+
+    def smi_packed(self, i: int, primed: bool = False) -> Packed:
+        """The packed map of sigma_i - sigma_i^{-1} (of sigma_i' when primed), shared."""
+        return self._smi[2 * i + (1 if primed else 0)]
 
     def class_index(self, i: int, primed: bool = False) -> int:
         return self.class_of[2 * i + (1 if primed else 0)]
@@ -419,9 +420,7 @@ class ParamClasses:
         return LaurentPoly.variable(self.nclasses, self.class_index(i, primed), power)
 
     def sigma_minus_inverse(self, i: int, primed: bool = False) -> LaurentPoly:
-        k = self.class_index(i, primed)
-        n = self.nclasses
-        return LaurentPoly.variable(n, k, 1) - LaurentPoly.variable(n, k, -1)
+        return LaurentPoly.from_packed(self.nclasses, self.smi_packed(i, primed))
 
     def same_class(self, i: int) -> bool:
         return self.class_index(i, False) == self.class_index(i, True)

@@ -9,10 +9,16 @@ commutation relation by expanding the geometric sum exactly, which fixes
 the sign of its terms.
 
 A product of basis symbols is Z^lam H_u * Z^mu H_v = Z^lam (H_u Z^mu) H_v.
-`_basis_product_packed` memoizes H_u Z^mu, one letter of u per entry, and
-`mult_bl` folds in H_v once for each Weyl part v of its right factor,
-through the memo of H_t H_v.  `tests/test_bl_oracle.py` checks `mult_bl`
-against an independent model: on A1 with Y the coroot lattice, the
+The relations see mu only through its pairings alpha_j(mu): when every
+alpha_j(delta) is 0, Z^delta is central and H_u Z^(mu + delta) is
+Z^delta H_u Z^mu.  So `_basis_product_packed` memoizes H_u Z^mu once per
+u and pairing vector, one letter of u per entry, with its points stored
+as offsets from mu, and `mult_bl` adds lam + mu to them.  Each entry also
+keeps the box of every offset its chain reached, and `mult_bl` refuses a
+mu that the box carries out of the packed range.  `mult_bl` folds in H_v
+once for each Weyl part v of its right factor, through the memo of
+H_t H_v.  `tests/test_bl_oracle.py` checks `mult_bl` against an
+independent model: on A1 with Y the coroot lattice, the
 Iwahori-Matsumoto Hecke algebra of the affine Weyl group of type A1,
 computed from alternating words and the quadratic relation alone.
 """
@@ -23,9 +29,9 @@ from collections import defaultdict
 from functools import lru_cache
 
 from . import linalg
-from .coeff_ring import SUM_HALF, LaurentPoly, ParamClasses, add, mul, mul_acc, pack, unpack
+from .coeff_ring import SUM_HALF, LaurentPoly, ParamClasses, add, mul, pack, unpack
 from .coeff_ring import require_factors, require_summable
-from .errors import BudgetExceeded, PointLengthMismatch, json_ints, json_value
+from .errors import BudgetExceeded, CoordinateOutOfRange, PointLengthMismatch, json_ints, json_value
 from .root_system import Point, RootDatum
 from .weyl import (
     ID_CAP,
@@ -232,19 +238,34 @@ class BLElement:
 # polynomials, so it runs entirely in the packed form of `coeff_ring`.
 # Weyl elements are numbered by the store of `weyl`, so states are keyed,
 # like element stores, by single integers packed_point * ID_CAP + element
-# id.  The engine accumulates only into maps it has just created; cached
-# tables and element stores share their maps and are never mutated.
-# The three tables are bounded, so a long-lived process keeps at most
-# CACHE_SIZE entries in each; an evicted entry is recomputed on demand.
-# Packed points are added to one another in `mult_bl` (the shift by a
-# term of the left factor) and in `_commute_packed` (the reflection and
-# its window).  So that no sum carries into the next coordinate, every
-# point of the H_u Z^mu memo lies in -SUM_HALF .. SUM_HALF - 1 (2^22):
-# the memo refuses (CoordinateOutOfRange) a mu or a reflected point
-# outside that range, and `mult_bl` a point of its left factor outside it.
-# A window has |alpha_i(nu)| terms; one longer than WINDOW_CAP is refused
+# id.  The engine accumulates only into maps it has just created, inline
+# and without intermediate products; cached tables and element stores
+# share their maps and are never mutated.  The three tables are bounded,
+# so a long-lived process keeps at most CACHE_SIZE entries in each; an
+# evicted entry is recomputed on demand.
+#
+# The Bernstein relation sees a point only through its pairings: H_i Z^nu
+# depends on m = alpha_i(nu), and moves nu by -m alpha_i^v and along the
+# window between.  So H_u Z^mu, translated by any delta with
+# alpha_j(delta) = 0 for every j, is H_u Z^{mu + delta}.  The H_u Z^mu
+# memo is keyed on u and the pairing vector (alpha_j(mu))_j, and its keys
+# hold offsets from mu; `_commute_packed` is keyed on (i, m) and returns
+# offsets from nu.  `mult_bl` adds lam + mu to each memo key.
+#
+# Packed vectors are added to one another without a check, so no sum may
+# carry into the next coordinate.  The points of the left factor and
+# every point a product reaches lie in -SUM_HALF .. SUM_HALF - 1 (2^22).
+# Each memo entry carries a box: the least and greatest value, coordinate
+# by coordinate, of every offset its chain reached, reflections included
+# (window points lie between).  `mult_bl` refuses (CoordinateOutOfRange)
+# when mu + box leaves that range, which is exactly when a point of the
+# chain from mu would.  The memo refuses a box wider than the range, which
+# no mu fits; every offset it stores thus fits a packed digit.  A window
+# has |alpha_i(nu)| terms; one longer than WINDOW_CAP is refused
 # (BudgetExceeded) before any term is built, and so is a segment of
-# `r_window`, which spans the same range.
+# `r_window`, which spans the same range.  A window refused inside the
+# memo carries the box reached before it, so that `mult_bl` refuses the
+# points first, in the order of the chain.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 WINDOW_CAP = 1 << 16  # terms of one commutation window
@@ -252,44 +273,86 @@ R_WINDOW_CAP = 10_000  # Weyl elements one `r_window` recursion may visit
 _FILL_STRIDE = 64  # letters between the suffixes a long miss of the H_u Z^mu memo fills first
 
 
+def _acc(acc: dict, terms, shift: int, p: dict):
+    """acc[key + shift] += p * q for every (key, q) of `terms`.
+
+    Every map of `acc` is created here, and may end up holding zeros; p
+    and every q are zero-free and only read.
+    """
+    get = acc.get
+    if len(p) == 1:
+        ((e1, c1),) = p.items()
+        for key, q in terms:
+            k = key + shift
+            t = get(k)
+            if t is None:
+                acc[k] = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
+            else:
+                tget = t.get
+                for e2, c2 in q.items():
+                    e = e1 + e2
+                    t[e] = tget(e, 0) + c1 * c2
+        return
+    pitems = p.items()
+    for key, q in terms:
+        k = key + shift
+        t = get(k)
+        if t is None:
+            t = acc[k] = {}
+        tget = t.get
+        qitems = q.items()
+        for e1, c1 in pitems:
+            for e2, c2 in qitems:
+                e = e1 + e2
+                t[e] = tget(e, 0) + c1 * c2
+
+
 def _settle(acc: dict) -> dict:
     """Drop zero coefficients, then keys whose coefficient vanished."""
-    return {k: d for k, dz in acc.items() if (d := {e: c for e, c in dz.items() if c})}
+    out = {}
+    for k, d in acc.items():
+        if 0 in d.values():
+            d = {e: c for e, c in d.items() if c}
+            if not d:
+                continue
+        out[k] = d
+    return out
+
+
+def _require_reach(mu: Point, lo, hi):
+    """Refuse unless mu + lo and mu + hi lie in -SUM_HALF .. SUM_HALF - 1."""
+    for x, l, h in zip(mu, lo, hi):
+        for y in (x + l, x + h):
+            if not -SUM_HALF <= y < SUM_HALF:
+                raise CoordinateOutOfRange(
+                    f"a commutation chain from {mu} reaches entry {y}, "
+                    f"outside {-SUM_HALF}..{SUM_HALF - 1}"
+                )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, pnu: int):
-    """H_i * Z^nu as (packed reflected point, packed window terms).
+def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, m: int):
+    """H_i * Z^nu for alpha_i(nu) = m, relative to nu: (reflection, window terms).
 
-    With m = alpha_i(nu): H_i Z^nu = Z^{r_i nu} H_i + window.  For m > 0
-    the window sits at nu - h alpha_i^v (0 <= h < m); for m < 0 at
-    nu + h alpha_i^v (1 <= h <= -m) with a global minus sign (the exact
+    H_i Z^nu = Z^{r_i nu} H_i + window, with r_i nu = nu - m alpha_i^v.
+    For m > 0 the window sits at nu - h alpha_i^v (0 <= h < m); for m < 0
+    at nu + h alpha_i^v (1 <= h <= -m) with a global minus sign (the exact
     geometric expansion of the defining relation).  When sigma_i and
     sigma_i' differ the two coefficients alternate (the pairing is even).
+    Offsets from nu are packed and scaled by ID_CAP, so that they add to a
+    state key directly.
     """
-    nu = unpack(pnu, datum.rank_y)
-    m = datum.pairing(i, nu)
     if abs(m) > WINDOW_CAP:
         raise BudgetExceeded(WINDOW_CAP, f"a commutation window of {abs(m)} terms")
-    pco = pack(datum.coroots[i])
-    # the window lies between nu and its reflection, so this bounds it too
-    prnu = pack(linalg.vec_sub(nu, linalg.vec_scale(m, datum.coroots[i])), SUM_HALF)
-    window = []
-    if m != 0:
-        c_plain = classes.sigma_minus_inverse(i, primed=False).packed
-        if classes.same_class(i):
-            c_even = c_odd = c_plain
-        else:
-            c_even = c_plain
-            c_odd = classes.sigma_minus_inverse(i, primed=True).packed
-        if m > 0:
-            for h in range(m):
-                window.append((pnu - h * pco, c_even if h % 2 == 0 else c_odd))
-        else:
-            for h in range(1, -m + 1):
-                neg = {e: -c for e, c in (c_even if h % 2 == 0 else c_odd).items()}
-                window.append((pnu + h * pco, neg))
-    return prnu, tuple(window)
+    step = pack(datum.coroots[i]) * ID_CAP
+    c_even, c_odd = classes.smi_packed(i), classes.smi_packed(i, primed=True)
+    if m >= 0:
+        window = tuple((-h * step, c_odd if h % 2 else c_even) for h in range(m))
+    else:
+        n_even = {e: -c for e, c in c_even.items()}
+        n_odd = {e: -c for e, c in c_odd.items()}
+        window = tuple((h * step, n_odd if h % 2 else n_even) for h in range(1, 1 - m))
+    return -m * step, window
 
 
 def commute_Hi_past_Z(
@@ -298,9 +361,13 @@ def commute_Hi_past_Z(
     """H_i * Z^nu rewritten in the Z H basis (see `_commute_packed`)."""
     pnu = _pack_point(datum.rank_y, nu)
     rid = simple_reflection(datum, i).id  # validates i before caching
-    prnu, window = _commute_packed(datum, classes, i, pnu)
-    packed = {prnu * ID_CAP + rid: classes.one().packed}
-    packed.update((ppt * ID_CAP, coeff) for ppt, coeff in window)
+    m = datum.pairing(i, nu)
+    _, window = _commute_packed(datum, classes, i, m)
+    # the window lies between nu and its reflection, so this bounds it too
+    prnu = pack(linalg.vec_sub(nu, linalg.vec_scale(m, datum.coroots[i])), SUM_HALF)
+    packed = {prnu * ID_CAP + rid: classes.one_packed}
+    base = pnu * ID_CAP
+    packed.update((base + off, coeff) for off, coeff in window)
     return BLElement.from_packed(datum, classes, packed)
 
 
@@ -316,25 +383,30 @@ def _h_times_basis_packed(i: int, w: WeylElement, one: dict, smi: dict):
 def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: int):
     """H_t * H_v, peeling letters of t from the inside out."""
     elems = _INTERNERS[datum].elems
-    one = classes.one().packed
+    one = classes.one_packed
     out: dict[int, dict] = {vid: one}
     for i in reversed(elems[tid].word):
-        smi = classes.sigma_minus_inverse(i).packed
-        nxt = defaultdict(lambda: defaultdict(int))
+        smi = classes.smi_packed(i)
+        nxt: dict[int, dict] = {}
         for wid, c in out.items():
-            for wid2, c2 in _h_times_basis_packed(i, elems[wid], one, smi):
-                mul_acc(nxt[wid2], c, c2)
+            _acc(nxt, _h_times_basis_packed(i, elems[wid], one, smi), 0, c)
         out = _settle(nxt)
     return tuple(out.items())
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pmu: int):
-    """H_u * Z^mu as a packed state {packed_point * ID_CAP + element_id: coefficient}.
+def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pairs: tuple):
+    """H_u * Z^mu for every mu with alpha_j(mu) = pairs[j], as (state, lo, hi, reach).
+
+    `state` maps pack(offset) * ID_CAP + element id t to a coefficient c:
+    H_u Z^mu is the sum of c Z^{mu + offset} H_t.  `lo` and `hi` bound,
+    coordinate by coordinate, every offset the chain reached, and `reach`
+    is the largest of their absolute values.
 
     With i the first letter of u's canonical word, r_i u has the rest of
     the word, so an entry is one H_i step on the entry for r_i u:
-    H_i Z^nu H_t = Z^{r_i nu} H_i H_t + (window of nu) H_t.  A miss thus
+    H_i Z^nu H_t = Z^{r_i nu} H_i H_t + (window of nu) H_t, where
+    alpha_i(nu) is pairs[i] plus the pairing of nu's offset.  A miss thus
     costs one letter when the shorter suffixes are cached.  A miss on a
     word longer than _FILL_STRIDE first asks for the suffix whose length
     is the largest multiple of the stride below its own, so a cold chain
@@ -344,28 +416,46 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pmu
     elems = _INTERNERS[datum].elems
     u = elems[uid]
     word = u.word
+    rank = datum.rank_y
     if not word:
-        require_summable(pmu, datum.rank_y)
-        return {pmu * ID_CAP: classes.one().packed}
+        zero = (0,) * rank
+        return {0: classes.one_packed}, zero, zero, 0
     if len(word) > _FILL_STRIDE:
         v = u
         for i in word[: (len(word) - 1) % _FILL_STRIDE + 1]:
             v = left_mul(i, v)
-        _basis_product_packed(datum, classes, v.id, pmu)
+        _basis_product_packed(datum, classes, v.id, pairs)
     i = word[0]
-    one = classes.one().packed
-    smi = classes.sigma_minus_inverse(i).packed
-    nxt = defaultdict(lambda: defaultdict(int))
-    for key, c in _basis_product_packed(datum, classes, left_mul(i, u).id, pmu).items():
+    state, lo, hi, _ = _basis_product_packed(datum, classes, left_mul(i, u).id, pairs)
+    lo, hi = list(lo), list(hi)
+    one, smi = classes.one_packed, classes.smi_packed(i)
+    root, co, m0 = datum.roots[i], datum.coroots[i], pairs[i]
+    nxt: dict[int, dict] = {}
+    for key, c in state.items():
         tid = key % ID_CAP
-        pnu = (key - tid) // ID_CAP
-        prnu, window = _commute_packed(datum, classes, i, pnu)
-        base = prnu * ID_CAP
-        for tid3, c3 in _h_times_basis_packed(i, elems[tid], one, smi):
-            mul_acc(nxt[base + tid3], c, c3)
-        for ppt, coeff in window:
-            mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
-    return _settle(nxt)
+        base = key - tid
+        off = unpack(base // ID_CAP, rank)
+        m = m0 + linalg.dot(root, off)
+        try:
+            refl, window = _commute_packed(datum, classes, i, m)
+        except BudgetExceeded as exc:
+            exc.reached = (tuple(lo), tuple(hi))  # read by mult_bl
+            raise
+        for k, x in enumerate(off):
+            y = x - m * co[k]
+            if y < lo[k]:
+                lo[k] = y
+            elif y > hi[k]:
+                hi[k] = y
+        _acc(nxt, _h_times_basis_packed(i, elems[tid], one, smi), base + refl, c)
+        _acc(nxt, window, base + tid, c)
+    for l, h in zip(lo, hi):
+        if h - l >= 2 * SUM_HALF:
+            raise CoordinateOutOfRange(
+                f"a commutation chain spans {h - l} in one coordinate; "
+                f"no point keeps it within {-SUM_HALF}..{SUM_HALF - 1}"
+            )
+    return _settle(nxt), tuple(lo), tuple(hi), max(-min(lo), max(hi))
 
 
 def mult_bl(a: BLElement, b: BLElement) -> BLElement:
@@ -373,35 +463,47 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
 
     b's terms are grouped by their Weyl part v.  For each group the
     products Z^lam (H_u Z^mu) of every term of a with every term of the
-    group are accumulated from the memo of H_u Z^mu, settled, and H_v is
-    folded in once through `_h_times_h_packed`.  The group v = e needs no
-    fold and accumulates into the result directly.
+    group are accumulated from the memo of H_u Z^mu, shifted by lam + mu,
+    settled, and H_v is folded in once through `_h_times_h_packed`.  The
+    group v = e needs no fold and accumulates into the result directly.
     """
     a._compat(b)
     datum, classes = a.datum, a.classes
+    rank = datum.rank_y
     for shift in {k // ID_CAP for k in a.packed}:
-        require_summable(shift, datum.rank_y)
+        require_summable(shift, rank)
     require_factors((*a.packed.values(), *b.packed.values()), classes.nclasses)
     groups = defaultdict(list)
     for key_b, pb in b.packed.items():
         vid = key_b % ID_CAP
-        groups[vid].append(((key_b - vid) // ID_CAP, pb))
-    out = defaultdict(lambda: defaultdict(int))
+        pmu = (key_b - vid) // ID_CAP
+        mu = unpack(pmu, rank)
+        pairs = tuple(linalg.dot(root, mu) for root in datum.roots)
+        # mu + an offset of absolute value at most `slack` cannot leave the range
+        slack = SUM_HALF - 1 - max(map(abs, mu), default=0)
+        groups[vid].append((pmu, mu, pairs, slack, pb))
+    out: dict[int, dict] = {}
     for vid, group in groups.items():
-        acc = defaultdict(lambda: defaultdict(int)) if vid else out
+        acc = {} if vid else out
         for key_a, pa in a.packed.items():
             uid = key_a % ID_CAP
-            shift = key_a - uid
-            for pmu, pb in group:
-                c = mul(pa, pb)
-                for key, cz in _basis_product_packed(datum, classes, uid, pmu).items():
-                    mul_acc(acc[key + shift], c, cz)
+            lam = key_a - uid
+            for pmu, mu, pairs, slack, pb in group:
+                if slack < 0:
+                    require_summable(pmu, rank)
+                try:
+                    state, lo, hi, reach = _basis_product_packed(datum, classes, uid, pairs)
+                except BudgetExceeded as exc:
+                    if hasattr(exc, "reached"):
+                        _require_reach(mu, *exc.reached)
+                    raise
+                if reach > slack:
+                    _require_reach(mu, lo, hi)
+                _acc(acc, state.items(), lam + pmu * ID_CAP, mul(pa, pb))
         if vid:
             for key, c in _settle(acc).items():
                 tid = key % ID_CAP
-                base = key - tid
-                for tid2, c2 in _h_times_h_packed(datum, classes, tid, vid):
-                    mul_acc(out[base + tid2], c, c2)
+                _acc(out, _h_times_h_packed(datum, classes, tid, vid), key - tid, c)
     return BLElement.from_packed(datum, classes, _settle(out))
 
 

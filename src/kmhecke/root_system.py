@@ -36,7 +36,10 @@ from .errors import (
     PointLengthMismatch,
     PositiveOffDiagonal,
     RealizationShape,
+    InvalidJSONValue,
     ZeroForm,
+    json_ints,
+    json_value,
 )
 
 Point = tuple[int, ...]
@@ -76,7 +79,9 @@ def validate_gcm(matrix) -> GCM:
     >>> validate_gcm([[2]]).n
     1
     """
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    if not isinstance(matrix, (list, tuple)):
+        raise InvalidJSONValue(f"a GCM must be a list of rows, got {matrix!r}")
+    rows = tuple(json_ints(row, "a GCM entry") for row in matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
@@ -367,6 +372,7 @@ def datum_to_json(datum: RootDatum) -> dict:
 
 
 def datum_from_json(data: dict) -> RootDatum:
+    data = json_value(data, dict, "a root datum")
     gcm = validate_gcm(data["gcm"])
     if ("coroots" in data) != ("roots" in data):
         raise ValueError("custom realizations need both coroots and roots")

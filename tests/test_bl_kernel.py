@@ -1,10 +1,11 @@
 """The BL product kernel against the previous kernel, and its bounded tables.
 
-`mult_bl` reads H_u Z^mu from a memo built one letter of u per entry, and
-folds in H_v once per Weyl part v of its right factor.  The reference
-below is the kernel it replaced: every basis product H_u Z^mu H_v is
-computed on its own, peeling every letter of u and then folding in H_v
-for that v alone.  Both must give the same packed elements exactly.
+`mult_bl` reads H_u Z^mu from a memo built one letter of u per entry and
+keyed on the pairings of mu, and folds in H_v once per Weyl part v of its
+right factor.  The reference below is an earlier kernel: every basis
+product H_u Z^mu H_v is computed on its own, at absolute points, peeling
+every letter of u and then folding in H_v for that v alone.  Both must
+give the same packed elements exactly.
 """
 
 from collections import defaultdict
@@ -12,15 +13,77 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmhecke import hecke_bl
-from kmhecke.coeff_ring import LaurentPoly, mul, mul_acc, pack, param_ring_for
+from kmhecke import hecke_bl, linalg
+from kmhecke.coeff_ring import SUM_HALF, LaurentPoly, pack, param_ring_for, unpack
 from kmhecke.hecke_bl import CACHE_SIZE, BLElement, commute_Hi_past_Z, mult_bl
-from kmhecke.weyl import ID_CAP, STORES, element_from_word
+from kmhecke.weyl import ID_CAP, STORES, element_from_word, left_mul
 
 FIXTURES = ["a1", "a2", "aff", "chain3", "mixed3"]
 
 
 # --- the previous kernel -----------------------------------------------------
+#
+# A copy of the kernel `mult_bl` replaced, with absolute points in its keys
+# and no tables, so that it shares no code with the kernel it checks.
+
+
+def ref_mul_acc(tgt, p, q):
+    """tgt += p * q for packed maps; `tgt` is a defaultdict(int)."""
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            tgt[e1 + e2] += c1 * c2
+
+
+def ref_settle(acc):
+    """Drop zero coefficients, then keys whose coefficient vanished."""
+    return {k: d for k, dz in acc.items() if (d := {e: c for e, c in dz.items() if c})}
+
+
+def ref_smi(classes, i, primed=False):
+    """sigma - sigma^{-1} for the class of sigma_i (of sigma_i' when primed), as a packed map."""
+    n, k = classes.nclasses, classes.class_index(i, primed)
+    return (LaurentPoly.variable(n, k, 1) - LaurentPoly.variable(n, k, -1)).packed
+
+
+def ref_commute(datum, classes, i, pnu):
+    """H_i * Z^nu as (packed reflected point, (packed window point, coefficient) pairs)."""
+    nu = unpack(pnu, datum.rank_y)
+    m = datum.pairing(i, nu)
+    pco = pack(datum.coroots[i])
+    prnu = pack(tuple(x - m * c for x, c in zip(nu, datum.coroots[i])), SUM_HALF)
+    c_even, c_odd = ref_smi(classes, i), ref_smi(classes, i, primed=True)
+    window = []
+    if m > 0:
+        for h in range(m):
+            window.append((pnu - h * pco, c_even if h % 2 == 0 else c_odd))
+    else:
+        for h in range(1, -m + 1):
+            neg = {e: -c for e, c in (c_even if h % 2 == 0 else c_odd).items()}
+            window.append((pnu + h * pco, neg))
+    return prnu, window
+
+
+def ref_h_times_basis(i, w, one, smi):
+    """H_i * H_w as (id, packed coefficient) pairs."""
+    riw = left_mul(i, w)
+    if riw.length > w.length:
+        return ((riw.id, one),)
+    return ((w.id, smi), (riw.id, one))
+
+
+def ref_h_times_h(datum, classes, tid, vid):
+    """H_t * H_v, peeling letters of t from the inside out."""
+    elems = STORES[datum].elems
+    one = classes.one().packed
+    out = {vid: one}
+    for i in reversed(elems[tid].word):
+        smi = ref_smi(classes, i)
+        nxt = defaultdict(lambda: defaultdict(int))
+        for wid, c in out.items():
+            for wid2, c2 in ref_h_times_basis(i, elems[wid], one, smi):
+                ref_mul_acc(nxt[wid2], c, c2)
+        out = ref_settle(nxt)
+    return out.items()
 
 
 def ref_basis_product(datum, classes, uid, pmu, vid):
@@ -29,26 +92,26 @@ def ref_basis_product(datum, classes, uid, pmu, vid):
     one = classes.one().packed
     state = {pmu * ID_CAP: one}
     for i in reversed(elems[uid].word):
-        smi = classes.sigma_minus_inverse(i).packed
+        smi = ref_smi(classes, i)
         nxt = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
             tid = key % ID_CAP
             pnu = (key - tid) // ID_CAP
-            prnu, window = hecke_bl._commute_packed(datum, classes, i, pnu)
+            prnu, window = ref_commute(datum, classes, i, pnu)
             base = prnu * ID_CAP
-            for tid3, c3 in hecke_bl._h_times_basis_packed(i, elems[tid], one, smi):
-                mul_acc(nxt[base + tid3], c, c3)
+            for tid3, c3 in ref_h_times_basis(i, elems[tid], one, smi):
+                ref_mul_acc(nxt[base + tid3], c, c3)
             for ppt, coeff in window:
-                mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
-        state = hecke_bl._settle(nxt)
+                ref_mul_acc(nxt[ppt * ID_CAP + tid], c, coeff)
+        state = ref_settle(nxt)
     if vid != 0:
         shifted = defaultdict(lambda: defaultdict(int))
         for key, c in state.items():
             tid = key % ID_CAP
             base = key - tid
-            for tid2, c2 in hecke_bl._h_times_h_packed(datum, classes, tid, vid):
-                mul_acc(shifted[base + tid2], c, c2)
-        state = hecke_bl._settle(shifted)
+            for tid2, c2 in ref_h_times_h(datum, classes, tid, vid):
+                ref_mul_acc(shifted[base + tid2], c, c2)
+        state = ref_settle(shifted)
     return state
 
 
@@ -62,10 +125,11 @@ def ref_mult_bl(a, b):
         for key_b, pb in b.packed.items():
             vid = key_b % ID_CAP
             base = ref_basis_product(datum, classes, uid, (key_b - vid) // ID_CAP, vid)
-            c = mul(pa, pb)
+            c = defaultdict(int)
+            ref_mul_acc(c, pa, pb)
             for key, cz in base.items():
-                mul_acc(out[key + shift], c, cz)
-    return BLElement.from_packed(datum, classes, hecke_bl._settle(out))
+                ref_mul_acc(out[key + shift], c, cz)
+    return BLElement.from_packed(datum, classes, ref_settle(out))
 
 
 # --- strategies --------------------------------------------------------------
@@ -127,6 +191,31 @@ def test_cancelling_terms_match_the_previous_kernel(request, name):
             assert got == b.scale(classes.sigma_minus_inverse(i)) + z
 
 
+def test_central_translates_read_one_memo_entry(aff):
+    """C = (1, 1, 0) pairs to 0 with both roots of affine A1, so Z^C is central and
+    Z^lam H_u * Z^(mu + kC) H_v = Z^(lam + kC) H_u * Z^mu H_v, from the same H_u Z^mu entry."""
+    classes = param_ring_for(aff)
+    memo = hecke_bl._basis_product_packed
+    point = st.tuples(*(st.integers(-2, 2) for _ in range(aff.rank_y)))
+    word = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+
+    def basis(lam, word, c):
+        return BLElement.basis(aff, classes, lam, element_from_word(aff, word), classes.const(c))
+
+    @given(point, point, word, word, st.integers(-3, 3), st.sampled_from((-2, 1, 3)))
+    @settings(max_examples=40, deadline=None)
+    def check(lam, mu, u, v, k, c):
+        kc = (k, k, 0)
+        moved_left = mult_bl(basis(linalg.vec_add(lam, kc), u, c), basis(mu, v, 1))
+        misses = memo.cache_info().misses
+        x, y = basis(lam, u, c), basis(linalg.vec_add(mu, kc), v, 1)
+        moved_right = mult_bl(x, y)
+        assert memo.cache_info().misses == misses
+        assert moved_left == moved_right == ref_mult_bl(x, y)
+
+    check()
+
+
 # --- bounded tables ----------------------------------------------------------
 
 
@@ -150,10 +239,10 @@ def test_memo_overfilled_past_its_bound_gives_the_same_products(a2, aff):
                 z = BLElement.basis(datum, classes, mu, element_from_word(datum, (1,)))
                 pairs.append((h, z, mult_bl(h, z), mult_bl(z, h)))
 
-    # H_e Z^mu for CACHE_SIZE + 1 points not used above evicts every earlier entry
+    # H_e Z^mu for CACHE_SIZE + 1 pairing vectors not used above evicts every earlier entry
     classes = param_ring_for(a2)
     for k in range(CACHE_SIZE + 1):
-        memo(a2, classes, 0, pack((k, 100)))
+        memo(a2, classes, 0, (k, 100))
     assert memo.cache_info().currsize <= CACHE_SIZE
 
     misses = memo.cache_info().misses

@@ -442,8 +442,26 @@ def test_out_of_range_coordinates_refused(capsys, tmp_path, gcm, lam, exps):
     assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
 
 
-def _term(lam, word=()):
-    return [{"lambda": lam, "word": list(word), "coeff": [[[0, 0], 1]]}]
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["realize"], [[2]]),  # used to raise TypeError: a datum file must be an object
+        (["gcm", "validate"], [2, 2]),  # used to raise TypeError: rows must be lists
+        (["classify", "--datum"], {"gcm": 2}),  # used to raise TypeError
+        (["gcm", "validate"], [[2, -1.0], [-1, 2]]),  # used to be read as -1
+        (["realize"], {"gcm": [["2"]]}),  # used to be read as 2
+    ],
+)
+def test_malformed_matrices_refused(capsys, tmp_path, command, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, [*command, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("InvalidJSONValue: ") and err.count("\n") == 1
+
+
+def _term(lam, word=(), nclasses=2):
+    return [{"lambda": lam, "word": list(word), "coeff": [[[0] * nclasses, 1]]}]
 
 
 @pytest.mark.parametrize(
@@ -461,6 +479,15 @@ def _term(lam, word=()):
             _term([-4194304, 0], [0]),
             _term([0, 1]),
         ),
+        # H_1 H_2 H_1 Z^mu on A2, with a third coordinate that the roots do not read: mu and its
+        # first reflection fit, the reflection at the second letter reaches (0, 1, -2^22 - 1), and
+        # the third letter brings every term of the product back into range
+        (
+            {"gcm": [[2, -1], [-1, 2]], "rank_y": 3, "coroots": [[1, 0, 1], [0, 1, -1]],
+             "roots": [[2, -1, 0], [-1, 2, 0]]},
+            _term([0, 0, 0], [0, 1, 0], nclasses=1),
+            _term([-1, -1, -4194304], nclasses=1),
+        ),
     ],
 )
 def test_sums_that_would_carry_refused(capsys, tmp_path, datum, left, right):
@@ -471,6 +498,43 @@ def test_sums_that_would_carry_refused(capsys, tmp_path, datum, left, right):
     code, out, err = run(capsys, ["hecke", "mul", "--datum", *map(str, paths)])
     assert code == 2 and out == ""
     assert err.startswith("CoordinateOutOfRange: ") and err.count("\n") == 1
+
+
+def _mul_points(capsys, tmp_path, datum, word, points):
+    """`hecke mul` of H_word by Z^mu for each mu of `points`, as (code, stdout, stderr) triples."""
+    paths = [tmp_path / name for name in ("datum.json", "left.json", "right.json")]
+    paths[0].write_text(json.dumps(datum))
+    paths[1].write_text(json.dumps(_term([0] * len(points[0]), word)))
+    results = []
+    for mu in points:
+        paths[2].write_text(json.dumps(_term(mu)))
+        results.append(run(capsys, ["hecke", "mul", "--datum", *map(str, paths)]))
+    return results
+
+
+def test_translates_with_equal_pairings_refused_by_their_own_points(capsys, tmp_path):
+    """mu and mu + (1, 1, 0) pair to (2, -2) with the roots of affine A1, so H_1 Z^mu is read from
+    one cached entry for both; its reflection mu - 2 alpha_1^v leaves the range from mu only."""
+    refused, answered = _mul_points(
+        capsys, tmp_path, {"gcm": [[2, -2], [-2, 2]]}, [0], [[-4194303, -4194304, 0], [-4194302, -4194303, 0]]
+    )
+    assert refused[0] == 2 and refused[1] == ""
+    assert refused[2].startswith("CoordinateOutOfRange: ") and refused[2].count("\n") == 1
+    assert answered == (0, "Z^(-4194304,-4194303,0)·H_1 + (-σ1^-1 + σ1)·Z^(-4194303,-4194303,0)"
+                           " + (-σ1^-1 + σ1)·Z^(-4194302,-4194303,0)\n", "")
+
+
+def test_point_out_of_range_refused_before_a_later_window_budget(capsys, tmp_path):
+    """H_2 H_1 Z^mu on affine A1 with a fourth coordinate that only alpha_1^v moves, by 128.
+    alpha_1(mu) = 2^15 + 1: the first reflection moves that coordinate by -(2^15 + 1) * 128, and the
+    second letter meets a window of 2^16 + 3 terms.  From mu_4 = 0 the reflection leaves the range
+    before the window is met, and the point is refused; from mu_4 = 2^21, with the same pairings,
+    every point fits and the window exhausts its budget."""
+    datum = {"gcm": [[2, -2], [-2, 2]], "rank_y": 4, "coroots": [[1, 0, 0, 128], [0, 1, 0, 0]],
+             "roots": [[2, -2, 1, 0], [-2, 2, 1, 0]]}
+    point, budget = _mul_points(capsys, tmp_path, datum, [1, 0], [[8192, 0, 16385, 0], [8192, 0, 16385, 2097152]])
+    assert point[0] == 2 and point[1] == "" and point[2].startswith("CoordinateOutOfRange: ")
+    assert budget[0] == 3 and budget[1] == "" and "65539 terms" in budget[2]
 
 
 def test_exponent_sums_that_would_carry_refused(capsys, tmp_path):
@@ -596,6 +660,95 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, tmp_path):
         codes.add(got[0])
     assert codes == {0, 2}
     assert build_parser() is build_parser()
+
+
+# every command path, with its number of positional arguments and its flags
+_COMMANDS = {
+    ("gcm", "validate"): (1, ()),
+    ("realize",): (1, ()),
+    ("classify",): (0, ("--datum",)),
+    ("weyl", "orbit"): (0, ("--datum", "--point", "--budget-orbit", "--max-length", "--max-height-drop")),
+    ("weyl", "dominant"): (0, ("--datum", "--point", "--budget-tits")),
+    ("weyl", "bruhat"): (0, ("--datum", "--left", "--right")),
+    ("weyl", "words"): (0, ("--datum", "--word", "--budget-words")),
+    ("hecke", "mul"): (2, ("--datum",)),
+    ("hecke", "commute"): (0, ("--datum", "--index", "--point")),
+    ("complete", "mul"): (2, ("--datum", "--region-gens", "--region-height", "--u-cap")),
+    ("complete", "efun"): (1, ("--datum", "--region-gens", "--region-height")),
+    ("complete", "center"): (1, ("--datum", "--probes", "--u-cap")),
+    ("parahoric", "coset"): (0, ("--datum", "--jzero", "--point", "--word")),
+    ("parahoric", "product"): (0, ("--datum", "--jzero", "--d1", "--d2")),
+    ("parahoric", "failure"): (0, ("--datum", "--jzero", "--count")),
+    ("parahoric", "treecount"): (0, ("--length", "--q", "--qprime")),
+}
+_FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags} | {"--format", "--help"})
+# the kind of value each flag expects; flags not named take an integer
+_FLAG_KINDS = {
+    "--datum": "datum", "--point": "list", "--left": "list", "--right": "list", "--word": "list",
+    "--jzero": "list", "--region-gens": "lists", "--probes": "lists", "--d1": "json", "--d2": "json",
+}
+_SMALL = st.integers(-3, 5)
+_INT_LIST = st.lists(_SMALL, max_size=4).map(lambda v: ",".join(map(str, v)))
+_LABEL = st.fixed_dictionaries({"lambda": st.lists(_SMALL, max_size=3), "word": st.lists(_SMALL, max_size=3)})
+
+
+@st.composite
+def _argv(draw, datums, paths):
+    """A command path, then values for its positionals and most of its flags, and stray tokens.
+
+    A value is mostly of the kind its flag expects, and otherwise anything.
+    """
+    kinds = {
+        "datum": st.sampled_from(datums),
+        "path": st.sampled_from(paths),
+        "int": _SMALL.map(str),
+        "list": _INT_LIST,
+        "lists": st.lists(_INT_LIST, max_size=3).map(";".join),
+        "json": (_LABEL | _ANY_JSON).map(json.dumps),
+    }
+    anything = st.one_of(*kinds.values(), st.sampled_from(("table", "json", "e", "", "-")))
+
+    def value(kind):
+        return draw(anything if draw(st.integers(0, 3)) == 3 else kinds[kind])
+
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, flags = _COMMANDS[command]
+    argv = ["--format", draw(st.sampled_from(("table", "json")))] if draw(st.booleans()) else []
+    argv += [*command, *(value("path") for _ in range(positionals))]
+    for flag in flags:
+        if draw(st.integers(0, 5)) < 5:
+            argv += [flag, value(_FLAG_KINDS.get(flag, "int"))]
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.lists(st.sampled_from(_FLAGS) | anything, min_size=1, max_size=2))
+    return argv
+
+
+def test_arbitrary_arguments_exit_cleanly(monkeypatch, tmp_path):
+    """Any argument list is answered (0), refused (2) or out of budget (3), never a traceback."""
+    contents = {
+        "a1.json": {"gcm": [[2]]},
+        "a2.json": _A2,
+        "aff.json": {"gcm": [[2, -2], [-2, 2]]},
+        "element.json": [_TERM],
+        "truncated.json": _finite_factor([([1, 0], 1)]),
+        "efun.json": [{"lambda": [1, 1], "coeff": [[[0], 1]]}],
+        "junk.json": [1, {"word": [2]}],
+    }
+    for name, data in contents.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "text.json").write_text("not json")
+    datums = [str(tmp_path / name) for name in ("a1.json", "a2.json", "aff.json")]
+    paths = sorted(str(tmp_path / name) for name in (*contents, "text.json", "missing.json"))
+    paths.append(str(tmp_path))  # a directory
+
+    @given(_argv(datums, paths))
+    @settings(max_examples=200, deadline=None)
+    def check(argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_A2)))
+        code, _, err = _in_process(argv)
+        assert code in (0, 2, 3), (argv, err)
+
+    check()
 
 
 def test_chained_products_refuse_what_the_windows_reach(capsys, tmp_path):

@@ -300,7 +300,7 @@ def test_decoded_terms_are_detached(aff):
 def test_cached_tables_survive_element_arithmetic(aff):
     classes = param_ring_for(aff)
     points = [(2, 0, 1), (-1, 1, 0)]
-    commute_args = [(aff, classes, i, pack(nu)) for i in (0, 1) for nu in points]
+    commute_args = [(aff, classes, i, aff.pairing(i, nu)) for i in (0, 1) for nu in points]
     elements = [commute_Hi_past_Z(aff, classes, i, nu) for i in (0, 1) for nu in points]
     h01 = element_from_word(aff, (0, 1))
     h10 = element_from_word(aff, (1, 0))
