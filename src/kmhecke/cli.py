@@ -4,6 +4,11 @@ One binary with subcommand routing; inputs are JSON files (or stdin via
 "-"), outputs are byte-stable for fixed inputs and flags.  Exit codes:
 0 success, 2 domain errors, 3 budget exhaustion.  Diagnostics go to
 stderr only.
+
+`--format` is read in one place, `main`: subcommands compute, and `main`
+renders only the chosen form (one compact JSON line, or table lines).
+Nothing reaches stdout until that output is complete, so a failing
+command leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .weyl import (
     bruhat_leq,
     dominant_representative,
     element_from_word,
+    height_drop,
     orbit_enumerate,
     weyl_to_json,
 )
@@ -84,42 +90,29 @@ def _region_from_args(args) -> Region:
     return Region.cone(_points(args.region_gens), args.region_height)
 
 
-def _emit(payload, fmt: str, table_lines):
-    # construction order of every payload is canonical, so no key sorting
-    if fmt == "json":
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        for line in table_lines:
-            print(line)
-
-
-def _element_lines(element: BLElement):
-    return [element.render()]
+def _text(seq, empty: str = "") -> str:
+    """The text form of a point or word, `1,0,1`; `empty` stands for ()."""
+    return ",".join(map(str, seq)) or empty
 
 
 # --- subcommand handlers ---
+# Each returns (payload, lines): the JSON payload, in canonical construction
+# order, and a callable giving the table lines, so `main` renders one format.
 
 def _cmd_gcm_validate(args):
     data = _read_json(args.file)
     matrix = data["gcm"] if isinstance(data, dict) else data
     gcm = validate_gcm(matrix)
-    _emit({"ok": True, "rank": gcm.n}, args.format, [f"valid GCM of rank {gcm.n}"])
-    return 0
+    return {"ok": True, "rank": gcm.n}, lambda: [f"valid GCM of rank {gcm.n}"]
 
 
 def _cmd_realize(args):
     datum = _load_datum(args.file)
-    payload = datum_to_json(datum)
-    _emit(
-        payload,
-        args.format,
-        [
-            f"rank_y {datum.rank_y}",
-            "coroots " + "; ".join(",".join(map(str, v)) for v in datum.coroots),
-            "roots " + "; ".join(",".join(map(str, v)) for v in datum.roots),
-        ],
-    )
-    return 0
+    return datum_to_json(datum), lambda: [
+        f"rank_y {datum.rank_y}",
+        "coroots " + "; ".join(map(_text, datum.coroots)),
+        "roots " + "; ".join(map(_text, datum.roots)),
+    ]
 
 
 def _cmd_classify(args):
@@ -133,13 +126,11 @@ def _cmd_classify(args):
         }
         for c in report.components
     ]
-    lines = [
+    return payload, lambda: [
         f"component {list(c.indices)}: {c.kind}"
         + (f" kernel {list(c.delta_coeffs)}" if c.delta_coeffs else "")
         for c in report.components
     ]
-    _emit(payload, args.format, lines)
-    return 0
 
 
 def _cmd_weyl_orbit(args):
@@ -152,9 +143,7 @@ def _cmd_weyl_orbit(args):
         max_count=args.budget_orbit,
     )
     payload = {"points": [list(p) for p in res.points], "complete": res.complete}
-    lines = [",".join(map(str, p)) for p in res.points] + [f"complete: {res.complete}"]
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lambda: [*map(_text, res.points), f"complete: {res.complete}"]
 
 
 def _cmd_weyl_dominant(args):
@@ -166,12 +155,14 @@ def _cmd_weyl_dominant(args):
         "dominant": None if rep.dominant is None else list(rep.dominant),
         "minimizer": None if w is None else list(w.word),
     }
-    lines = [f"status: {rep.status}"]
-    if rep.dominant is not None:
-        lines.append("dominant: " + ",".join(map(str, rep.dominant)))
-        lines.append("word: " + ",".join(map(str, w.word)))
-    _emit(payload, args.format, lines)
-    return 0
+
+    def lines():
+        yield f"status: {rep.status}"
+        if rep.dominant is not None:
+            yield f"dominant: {_text(rep.dominant)}"
+            yield f"word: {_text(w.word)}"
+
+    return payload, lines
 
 
 def _cmd_weyl_bruhat(args):
@@ -179,17 +170,14 @@ def _cmd_weyl_bruhat(args):
     u = element_from_word(datum, _word(args.left))
     w = element_from_word(datum, _word(args.right))
     ans = bruhat_leq(u, w)
-    _emit({"leq": ans}, args.format, [str(ans)])
-    return 0
+    return {"leq": ans}, lambda: [str(ans)]
 
 
 def _cmd_weyl_words(args):
     datum = _load_datum(args.datum)
     w = element_from_word(datum, _word(args.word))
     words = sorted(all_reduced_words(w, cap=args.budget_words))
-    payload = [list(x) for x in words]
-    _emit(payload, args.format, [",".join(map(str, x)) or "e" for x in words])
-    return 0
+    return [list(x) for x in words], lambda: [_text(x, "e") for x in words]
 
 
 def _cmd_hecke_mul(args):
@@ -198,16 +186,14 @@ def _cmd_hecke_mul(args):
     a = BLElement.from_json(datum, classes, _read_json(args.left))
     b = BLElement.from_json(datum, classes, _read_json(args.right))
     prod = mult_bl(a, b)
-    _emit(prod.to_json(), args.format, _element_lines(prod))
-    return 0
+    return prod.to_json(), lambda: [prod.render()]
 
 
 def _cmd_hecke_commute(args):
     datum = _load_datum(args.datum)
     classes = param_ring_for(datum)
     res = commute_Hi_past_Z(datum, classes, args.index, _point(args.point))
-    _emit(res.to_json(), args.format, _element_lines(res))
-    return 0
+    return res.to_json(), lambda: [res.render()]
 
 
 def _cmd_complete_mul(args):
@@ -217,27 +203,20 @@ def _cmd_complete_mul(args):
     b = truncated_from_json(datum, classes, _read_json(args.right))
     target = _region_from_args(args)
     res = mult_truncated(a, b, target, u_cap=args.u_cap)
-    _emit(res.to_json(), args.format, _truncated_lines(datum, res))
-    return 0
+    return res.to_json(), lambda: _truncated_lines(datum, res)
 
 
 def _truncated_lines(datum, el: TruncatedElement):
-    from .root_system import height_between
-    from .weyl import IN_TITS_CONE, dominant_representative
-
-    def hdrop(lam):
-        rep = dominant_representative(datum, lam)
-        if rep.status != IN_TITS_CONE:
-            return -1
-        return height_between(datum, lam, rep.dominant)
+    def key(item):
+        (lam, w), _ = item
+        drop = height_drop(datum, lam)
+        return (-1 if drop is None else drop, lam, w.word)
 
     names = param_ring_for(datum).names()
-    lines = []
-    for (lam, w), p in sorted(
-        el.coeffs.items(), key=lambda kv: (hdrop(kv[0][0]), kv[0][0], kv[0][1].word)
-    ):
-        word = ",".join(map(str, w.word)) or "e"
-        lines.append(f"{','.join(map(str, lam))} | {word} | {p.render(names)}")
+    lines = [
+        f"{_text(lam)} | {_text(w.word, 'e')} | {p.render(names)}"
+        for (lam, w), p in sorted(el.coeffs.items(), key=key)
+    ]
     return lines or ["0"]
 
 
@@ -252,8 +231,7 @@ def _cmd_complete_efun(args):
         coeffs[lam] = coeffs.get(lam, classes.zero()) + c
     fun = EFunction(datum, classes, tuple(coeffs.items()))
     res = e_function_expand(fun, _region_from_args(args))
-    _emit(res.to_json(), args.format, _truncated_lines(datum, res))
-    return 0
+    return res.to_json(), lambda: _truncated_lines(datum, res)
 
 
 def _cmd_complete_center(args):
@@ -273,13 +251,15 @@ def _cmd_complete_center(args):
             "word": list(verdict.coordinate[1].word),
         },
     }
-    lines = [f"status: {verdict.status}"]
-    if verdict.detail:
-        lines.append(f"detail: {verdict.detail}")
-    if verdict.probe is not None:
-        lines.append(f"probe: {verdict.probe.render()}")
-    _emit(payload, args.format, lines)
-    return 0
+
+    def lines():
+        yield f"status: {verdict.status}"
+        if verdict.detail:
+            yield f"detail: {verdict.detail}"
+        if verdict.probe is not None:
+            yield f"probe: {verdict.probe.render()}"
+
+    return payload, lines
 
 
 def _cmd_parahoric_coset(args):
@@ -290,12 +270,10 @@ def _cmd_parahoric_coset(args):
         "label": label.to_json(),
         "coset": [{"lambda": list(p), "word": list(w.word)} for p, w in pairs],
     }
-    lines = [f"label: {','.join(map(str, label.lam))} | {','.join(map(str, label.word)) or 'e'}"]
-    lines += [
-        f"{','.join(map(str, p))} | {','.join(map(str, w.word)) or 'e'}" for p, w in pairs
+    return payload, lambda: [
+        f"label: {_text(label.lam)} | {_text(label.word, 'e')}",
+        *(f"{_text(p)} | {_text(w.word, 'e')}" for p, w in pairs),
     ]
-    _emit(payload, args.format, lines)
-    return 0
 
 
 def _coset_label(text: str) -> CosetLabel:
@@ -318,12 +296,10 @@ def _cmd_parahoric_product(args):
             {"label": lbl.to_json(), "coeff": poly.to_json()} for lbl, poly in items
         ],
     }
-    lines = [
-        f"{','.join(map(str, lbl.lam))} | {','.join(map(str, lbl.word)) or 'e'} | {poly.render(names)}"
+    return payload, lambda: [
+        f"{_text(lbl.lam)} | {_text(lbl.word, 'e')} | {poly.render(names)}"
         for lbl, poly in items
     ]
-    _emit(payload, args.format, lines)
-    return 0
 
 
 def _cmd_parahoric_failure(args):
@@ -335,20 +311,18 @@ def _cmd_parahoric_failure(args):
         "face_point": list(stream.face_interior_point),
         "elements": [e.to_json() for e in stream.elements],
     }
-    lines = [f"witness: {','.join(map(str, stream.witness.word)) or 'e'}"]
-    lines += [",".join(map(str, e.point)) for e in stream.elements]
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, lambda: [
+        f"witness: {_text(stream.witness.word, 'e')}",
+        *(_text(e.point) for e in stream.elements),
+    ]
 
 
 def _cmd_parahoric_treecount(args):
     if args.q is not None and args.qprime is not None:
         val = tree_orbit_size(args.length, args.q, args.qprime)
-        _emit({"value": val}, args.format, [str(val)])
-    else:
-        poly = tree_orbit_size(args.length)
-        _emit({"poly": poly.to_json()}, args.format, [poly.render(("q", "q'"))])
-    return 0
+        return {"value": val}, lambda: [str(val)]
+    poly = tree_orbit_size(args.length)
+    return {"poly": poly.to_json()}, lambda: [poly.render(("q", "q'"))]
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, lines = args.fn(args)
+        if args.format == "json":
+            out = json.dumps(payload, separators=(",", ":")) + "\n"
+        else:
+            out = "".join(f"{line}\n" for line in lines())
+        sys.stdout.write(out)
+        return 0
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

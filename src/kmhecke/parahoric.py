@@ -26,11 +26,10 @@ from .errors import (
 from .hecke_bl import BLElement, mult_bl
 from .root_system import Point, RootDatum
 from .weyl import (
-    IN_TITS_CONE,
     WeylElement,
-    dominant_representative,
     element_from_word,
     face_point,
+    height_drop,
     infinite_orbit_witness,
     inverse,
     multiply,
@@ -79,17 +78,6 @@ def _fixer_elements(face: FaceType) -> list[WeylElement]:
     return parabolic_elements(face.datum, face.j_zero)
 
 
-def _height_drop(datum: RootDatum, lam: Point) -> int:
-    rep = dominant_representative(datum, lam)
-    if rep.status != IN_TITS_CONE:
-        raise ValueError("coset Y-parts must lie in Y+")
-    from .root_system import height_between
-
-    d = height_between(datum, lam, rep.dominant)
-    assert d is not None
-    return d
-
-
 def double_coset(
     face: FaceType, lam, w: WeylElement
 ) -> tuple[CosetLabel, tuple[tuple[Point, WeylElement], ...]]:
@@ -105,7 +93,10 @@ def double_coset(
 
     def key(pair):
         mu, x = pair
-        return (_height_drop(datum, mu), mu, x.word)
+        drop = height_drop(datum, mu)
+        if drop is None:
+            raise ValueError("coset Y-parts must lie in Y+")
+        return (drop, mu, x.word)
 
     best = min(pairs, key=key)
     label = CosetLabel(best[0], best[1].word)

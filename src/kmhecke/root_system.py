@@ -70,6 +70,8 @@ class GCM:
         return self.entries[ij[0]][ij[1]]
 
     def submatrix(self, indices: tuple[int, ...]) -> "GCM":
+        if indices == tuple(range(self.n)):
+            return self  # immutable; `orbit_is_finite` asks for the whole matrix on every call
         return GCM(tuple(tuple(self.entries[i][j] for j in indices) for i in indices))
 
 
@@ -157,14 +159,16 @@ def build_realization(gcm: GCM, custom: tuple[int, tuple, tuple] | None = None) 
     n = gcm.n
     if custom is not None:
         rank_y, coroots, roots = custom
-        try:
-            rank_y = int(rank_y)
-            coroots = tuple(tuple(int(x) for x in v) for v in coroots)
-            roots = tuple(tuple(int(x) for x in v) for v in roots)
-        except TypeError:
+        # exact types: JSON 1.9, true and "1" are no integer coordinates
+        if type(rank_y) is not int or not all(
+            isinstance(vecs, (list, tuple))
+            and all(isinstance(v, (list, tuple)) and all(type(x) is int for x in v) for v in vecs)
+            for vecs in (coroots, roots)
+        ):
             raise RealizationShape(
                 "rank_y must be an integer, coroots and roots lists of integer vectors"
-            ) from None
+            )
+        coroots, roots = (tuple(map(tuple, vecs)) for vecs in (coroots, roots))
         for name, vecs in (("coroots", coroots), ("roots", roots)):
             if len(vecs) != n:
                 raise RealizationShape(f"{len(vecs)} {name} given for a rank-{n} matrix")

@@ -48,13 +48,13 @@ from .root_system import (
     INDEFINITE,
     GCM,
     Component,
-    ComponentReport,
     Point,
     RootDatum,
     _graph_components,
     affine_delta,
     classify_components,
     classify_gcm,
+    height_between,
 )
 
 IN_TITS_CONE = "InTitsCone"
@@ -338,6 +338,14 @@ def tits_cone_status(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -
     return _project(datum, tuple(lam), budget).status
 
 
+def height_drop(datum: RootDatum, lam) -> int | None:
+    """Height of dom(lam) - lam, or None unless lam is known to lie in the Tits cone."""
+    rep = dominant_representative(datum, lam)
+    if rep.status != IN_TITS_CONE:
+        return None
+    return height_between(datum, lam, rep.dominant)
+
+
 def in_y_plus(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -> bool:
     st = tits_cone_status(datum, lam, budget)
     if st == UNKNOWN:
@@ -444,14 +452,9 @@ def orbit_is_finite(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) ->
 
 # --- parabolic subgroups and the non-sphericity witness ---
 
-@lru_cache(maxsize=None)
-def _sub_classification(gcm: GCM, indices: tuple[int, ...]) -> ComponentReport:
-    return classify_gcm(gcm.submatrix(indices))
-
-
 def parabolic_is_finite(datum: RootDatum, j: tuple[int, ...]) -> bool:
     """Whether the standard parabolic W_J is a finite group."""
-    report = _sub_classification(datum.gcm, tuple(sorted(j)))
+    report = classify_gcm(datum.gcm.submatrix(tuple(sorted(j))))
     return all(c.kind == FINITE for c in report.components)
 
 
@@ -466,7 +469,7 @@ def suborbit_is_finite(datum: RootDatum, j: tuple[int, ...], v) -> bool:
     j = tuple(sorted(j))
     return all(
         comp.kind == FINITE or all(datum.pairing(j[k], v) == 0 for k in comp.indices)
-        for comp in _sub_classification(datum.gcm, j).components
+        for comp in classify_gcm(datum.gcm.submatrix(j)).components
     )
 
 

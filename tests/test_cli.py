@@ -773,3 +773,48 @@ def test_chained_products_refuse_what_the_windows_reach(capsys, tmp_path):
     ])
     assert code == 2 and out == ""
     assert err.startswith("InsufficientSource: ") and "(1,)" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"gcm": [[2]], "rank_y": 1, "coroots": [[1.9]], "roots": [[2]]},
+        {"gcm": [[2]], "rank_y": 1.7, "coroots": [[1]], "roots": [[2]]},
+        {"gcm": [[2]], "rank_y": True, "coroots": [[1]], "roots": [[2]]},
+        {"gcm": [[2]], "rank_y": 1, "coroots": [["1"]], "roots": [[2]]},
+    ],
+)
+def test_custom_realization_values_that_are_not_int(capsys, tmp_path, data):
+    """Read through int(), each of these was taken as 1."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["realize", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("RealizationShape: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt, want", [("table", ""), ("json", "[]\n")])
+def test_classify_empty_matrix(capsys, tmp_path, fmt, want):
+    """An empty table prints nothing; the empty JSON list is still printed."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"gcm": []}))
+    assert run(capsys, ["--format", fmt, "classify", "--datum", str(path)]) == (0, want, "")
+
+
+def test_a_table_that_fails_midway_prints_nothing(capsys, monkeypatch):
+    """The E-function expansion has six table lines; the second one fails to render."""
+    rendered = []
+
+    def render_once(self, *args):
+        if rendered:
+            raise ValueError("render failed")
+        rendered.append(self)
+        return "1"
+
+    monkeypatch.setattr(kmhecke.coeff_ring.LaurentPoly, "render", render_once)
+    code, out, err = run(capsys, [
+        "complete", "efun", "--datum", _golden("a2.json"), _golden("a2_fun.json"),
+        "--region-gens", "2,2", "--region-height", "3",
+    ])
+    assert len(rendered) == 1
+    assert (code, out, err) == (2, "", "ParseError: render failed\n")

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from kmhecke.cli import main
+from kmhecke.coeff_ring import LaurentPoly
+from kmhecke.hecke_bl import BLElement
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("table", "json")
@@ -41,6 +43,19 @@ def test_golden_cli(name, fmt):
     code, out = _run(CASES[name], fmt)
     assert code == want["exit"]
     assert out == want["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_renders_no_table(monkeypatch, name):
+    """JSON output builds no table text: with text rendering refused, every case still matches."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a table was rendered for JSON output")
+
+    monkeypatch.setattr(LaurentPoly, "render", refuse)
+    monkeypatch.setattr(BLElement, "render", refuse)
+    want = _expected()[f"{name} json"]
+    assert _run(CASES[name], "json") == (want["exit"], want["stdout"])
 
 
 def test_golden_corpus_is_complete():
