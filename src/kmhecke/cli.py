@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -57,6 +58,7 @@ from .weyl import (
 
 DEFAULT_ORBIT_CAP = 100_000
 DEFAULT_WORD_CAP = 10_000
+_INT = re.compile("-?[0-9]+")
 
 
 def _read_json(path: str):
@@ -70,18 +72,28 @@ def _load_datum(path: str):
     return datum_from_json(_read_json(path))
 
 
+def _int(text: str) -> int:
+    """One ASCII integer, `-?[0-9]+`: `int` would also read `1_0`, ` 1` and non-ASCII digits."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _point(text: str):
-    return tuple(int(x) for x in text.split(",") if x != "")
+    """`1,0,-1`; the empty text is the empty point, and no entry may be empty."""
+    return tuple(map(_int, text.split(","))) if text else ()
 
 
 def _word(text: str):
-    if text.strip() == "" or text.strip() == "e":
-        return ()
-    return tuple(int(x) for x in text.split(",") if x != "")
+    return () if text == "e" else _point(text)
 
 
 def _points(text: str):
-    return tuple(_point(part) for part in text.split(";") if part != "")
+    """Points separated by `;`; the empty text is no point, and no part may be empty."""
+    parts = text.split(";") if text else []
+    if "" in parts:
+        raise ValueError(f"empty point in {text!r}")
+    return tuple(map(_point, parts))
 
 
 def _region_from_args(args) -> Region:
@@ -318,11 +330,10 @@ def _cmd_parahoric_failure(args):
 
 
 def _cmd_parahoric_treecount(args):
-    if args.q is not None and args.qprime is not None:
-        val = tree_orbit_size(args.length, args.q, args.qprime)
-        return {"value": val}, lambda: [str(val)]
-    poly = tree_orbit_size(args.length)
-    return {"poly": poly.to_json()}, lambda: [poly.render(("q", "q'"))]
+    size = tree_orbit_size(args.length, args.q, args.qprime)
+    if isinstance(size, int):
+        return {"value": size}, lambda: [str(size)]
+    return {"poly": size.to_json()}, lambda: [size.render(("q", "q'"))]
 
 
 @lru_cache(maxsize=None)
@@ -352,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weyl").add_subparsers(dest="sub", required=True)
     wo = with_datum(w.add_parser("orbit"))
     wo.add_argument("--point", required=True)
-    wo.add_argument("--budget-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-    wo.add_argument("--max-length", type=int, default=None)
-    wo.add_argument("--max-height-drop", type=int, default=None)
+    wo.add_argument("--budget-orbit", type=_int, default=DEFAULT_ORBIT_CAP)
+    wo.add_argument("--max-length", type=_int, default=None)
+    wo.add_argument("--max-height-drop", type=_int, default=None)
     wo.set_defaults(fn=_cmd_weyl_orbit)
     wd = with_datum(w.add_parser("dominant"))
     wd.add_argument("--point", required=True)
-    wd.add_argument("--budget-tits", type=int, default=DEFAULT_TITS_BUDGET)
+    wd.add_argument("--budget-tits", type=_int, default=DEFAULT_TITS_BUDGET)
     wd.set_defaults(fn=_cmd_weyl_dominant)
     wb = with_datum(w.add_parser("bruhat"))
     wb.add_argument("--left", required=True)
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     wb.set_defaults(fn=_cmd_weyl_bruhat)
     ww = with_datum(w.add_parser("words"))
     ww.add_argument("--word", required=True)
-    ww.add_argument("--budget-words", type=int, default=DEFAULT_WORD_CAP)
+    ww.add_argument("--budget-words", type=_int, default=DEFAULT_WORD_CAP)
     ww.set_defaults(fn=_cmd_weyl_words)
 
     h = sub.add_parser("hecke").add_subparsers(dest="sub", required=True)
@@ -375,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     hm.add_argument("right")
     hm.set_defaults(fn=_cmd_hecke_mul)
     hc = with_datum(h.add_parser("commute"))
-    hc.add_argument("--index", type=int, required=True)
+    hc.add_argument("--index", type=_int, required=True)
     hc.add_argument("--point", required=True)
     hc.set_defaults(fn=_cmd_hecke_commute)
 
@@ -384,18 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_argument("left")
     km.add_argument("right")
     km.add_argument("--region-gens", default=None)
-    km.add_argument("--region-height", type=int, default=0)
-    km.add_argument("--u-cap", type=int, default=8)
+    km.add_argument("--region-height", type=_int, default=0)
+    km.add_argument("--u-cap", type=_int, default=8)
     km.set_defaults(fn=_cmd_complete_mul)
     ke = with_datum(k.add_parser("efun"))
     ke.add_argument("function")
     ke.add_argument("--region-gens", default=None)
-    ke.add_argument("--region-height", type=int, default=0)
+    ke.add_argument("--region-height", type=_int, default=0)
     ke.set_defaults(fn=_cmd_complete_efun)
     kc = with_datum(k.add_parser("center"))
     kc.add_argument("element")
     kc.add_argument("--probes", default=None)
-    kc.add_argument("--u-cap", type=int, default=8)
+    kc.add_argument("--u-cap", type=_int, default=8)
     kc.set_defaults(fn=_cmd_complete_center)
 
     p = sub.add_parser("parahoric").add_subparsers(dest="sub", required=True)
@@ -411,12 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=_cmd_parahoric_product)
     pf = with_datum(p.add_parser("failure"))
     pf.add_argument("--jzero", required=True)
-    pf.add_argument("--count", type=int, required=True)
+    pf.add_argument("--count", type=_int, required=True)
     pf.set_defaults(fn=_cmd_parahoric_failure)
     pt = p.add_parser("treecount")
-    pt.add_argument("--length", type=int, required=True)
-    pt.add_argument("--q", type=int, default=None)
-    pt.add_argument("--qprime", type=int, default=None)
+    pt.add_argument("--length", type=_int, required=True)
+    pt.add_argument("--q", type=_int, default=None)
+    pt.add_argument("--qprime", type=_int, default=None)
     pt.set_defaults(fn=_cmd_parahoric_treecount)
 
     return parser

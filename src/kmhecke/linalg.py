@@ -151,6 +151,25 @@ def integer_solution(rows, rhs) -> Vec | None:
     return tuple(int(f) for f in x)
 
 
+def leading_minors_positive(rows) -> bool:
+    """Whether every leading principal minor of a square matrix is positive.
+
+    Gaussian elimination over the rationals without row exchanges: while
+    the earlier pivots are nonzero, the k-th pivot is the quotient of the
+    k-th and (k-1)-th leading minors, so all pivots are positive exactly
+    when all leading minors are.
+    """
+    m = _as_fraction_rows(rows)
+    for c, row in enumerate(m):
+        if row[c] <= 0:
+            return False
+        for below in m[c + 1:]:
+            if below[c]:
+                f = below[c] / row[c]
+                below[c:] = [x - f * y for x, y in zip(below[c:], row[c:])]
+    return True
+
+
 def det_adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of an invertible square integer matrix.
 
@@ -179,70 +198,3 @@ def det_adjugate(rows) -> tuple[int, Mat]:
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return int(det), tuple(tuple(int(x * det) for x in row[n:]) for row in m)
-
-
-# --- Fourier-Motzkin feasibility for homogeneous strict/weak systems ---
-
-Constraint = tuple[tuple[Fraction, ...], bool]  # (coefficients, strict): c.x > 0 or c.x >= 0
-
-
-def fm_feasible(constraints: list[tuple[list, bool]]) -> bool:
-    """Decide whether a homogeneous system of linear inequalities is feasible.
-
-    Each constraint is (coefficients, strict) meaning sum(c_i x_i) > 0 when
-    strict else >= 0.  Variables are eliminated one at a time; since the
-    system is homogeneous the only terminal contradictions are of the form
-    0 > 0.
-    """
-    cons: list[Constraint] = [
-        (tuple(Fraction(c) for c in coeffs), strict) for coeffs, strict in constraints
-    ]
-    if not cons:
-        return True
-    nvars = len(cons[0][0])
-    for var in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, strict in cons:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, strict))
-            elif c < 0:
-                neg.append((coeffs, strict))
-            else:
-                rest.append((coeffs, strict))
-        new = rest
-        for pc, ps in pos:
-            for nc, ns in neg:
-                # eliminate: (-n_var)*p + p_var*n, valid since p_var>0, n_var<0
-                a, b = -nc[var], pc[var]
-                combo = tuple(a * p + b * q for p, q in zip(pc, nc))
-                new.append((combo, ps or ns))
-        cons = []
-        for coeffs, strict in new:
-            if all(c == 0 for c in coeffs):
-                if strict:
-                    return False  # 0 > 0
-                continue
-            cons.append((coeffs, strict))
-        if not cons:
-            return True
-    return True
-
-
-def exists_positive_solution(matrix, mode: str) -> bool:
-    """Decide ``exists u > 0 with A u > 0`` (mode 'pos') or ``A u = 0`` (mode 'zero')."""
-    n = len(matrix)
-    cons: list[tuple[list, bool]] = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        cons.append((e, True))  # u_i > 0
-    for row in matrix:
-        if mode == "pos":
-            cons.append(([Fraction(x) for x in row], True))
-        elif mode == "zero":
-            cons.append(([Fraction(x) for x in row], False))
-            cons.append(([Fraction(-x) for x in row], False))
-        else:
-            raise ValueError(mode)
-    return fm_feasible(cons)

@@ -186,14 +186,16 @@ def tree_orbit_size(l: int, q=None, qprime=None):
     """Size of a sphere orbit in the semi-homogeneous wall tree.
 
     An alternating product q' q q' ... with exactly l - 1 factors,
-    starting with q'.  Symbolic (two-variable Laurent polynomial) unless
-    both parameters are integers.
+    starting with q'.  Symbolic (two-variable Laurent polynomial) when
+    neither parameter is given; giving only one raises ValueError.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
+    if (q is None) != (qprime is None):
+        raise ValueError("give both q and q' or neither")
     n_qp = (l - 1 + 1) // 2
     n_q = (l - 1) // 2
-    if q is None and qprime is None:
+    if q is None:
         return LaurentPoly.monomial((n_q, n_qp))
     if isinstance(q, int) and isinstance(qprime, int):
         return (qprime ** n_qp) * (q ** n_q)

@@ -176,13 +176,12 @@ def build_realization(gcm: GCM, custom: tuple[int, tuple, tuple] | None = None) 
                 raise RealizationShape(f"{name} must have rank_y = {rank_y} coordinates")
         if linalg.rank(list(roots)) < n:
             raise DependentRoots()
-        if linalg.rank(list(coroots)) < n:
-            raise DependentCoroots()
+        datum = RootDatum(gcm, rank_y, coroots, roots)  # raises DependentCoroots
         for i in range(n):
             for j in range(n):
                 if linalg.dot(roots[j], coroots[i]) != gcm[i, j]:
                     raise PairingMismatch(i, j)
-        return RootDatum(gcm, rank_y, coroots, roots)
+        return datum
 
     kernel = linalg.kernel_basis_int(gcm.entries)
     extra = len(kernel)
@@ -312,25 +311,27 @@ def classify_components(datum: RootDatum) -> ComponentReport:
 def classify_gcm(gcm: GCM) -> ComponentReport:
     """The blocks of a GCM and their types.
 
-    Finite iff some u > 0 has A u > 0, Affine iff (not Finite and) some
-    u > 0 has A u = 0, Indefinite otherwise; decided by exact rational
-    Fourier-Motzkin elimination.
+    Each block is an indecomposable GCM A, a matrix with nonpositive
+    off-diagonal entries.  It is Finite iff some u > 0 has A u > 0, which
+    for such a matrix holds iff every leading principal minor is positive
+    (Fiedler and Ptak, Czech. Math. J. 12 (1962); cf. Kac, Infinite
+    dimensional Lie algebras, Prop. 4.7).  Otherwise it is Affine iff
+    ker A is spanned by one strictly positive vector (Kac, Thm. 4.3), and
+    Indefinite if not.  The block's transpose has the same type, so an
+    affine block's left kernel is spanned by one positive vector too.
     """
     comps = []
     for indices in _graph_components(gcm):
         sub = gcm.submatrix(indices).entries
-        if linalg.exists_positive_solution(sub, "pos"):
-            kind, delta, cokernel = FINITE, None, None
-        elif linalg.exists_positive_solution(sub, "zero"):
-            kind = AFFINE
-            ker = linalg.kernel_basis_int(sub)
-            coker = linalg.kernel_basis_int(tuple(zip(*sub)))
-            if len(ker) != 1 or len(coker) != 1:
-                raise AssertionError("affine component must have corank one")
-            delta = ker[0] if all(c > 0 for c in ker[0]) else tuple(-c for c in ker[0])
-            cokernel = coker[0] if all(c > 0 for c in coker[0]) else tuple(-c for c in coker[0])
+        kind, delta, cokernel = INDEFINITE, None, None
+        if linalg.leading_minors_positive(sub):
+            kind = FINITE
         else:
-            kind, delta, cokernel = INDEFINITE, None, None
+            # primitive vectors start positive, so a one-signed one is positive
+            ker = linalg.kernel_basis_int(sub)
+            if len(ker) == 1 and all(c > 0 for c in ker[0]):
+                kind, delta = AFFINE, ker[0]
+                cokernel = linalg.kernel_basis_int(tuple(zip(*sub)))[0]
         comps.append(Component(indices, kind, delta, cokernel))
     return ComponentReport(tuple(comps))
 

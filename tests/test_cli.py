@@ -818,3 +818,41 @@ def test_a_table_that_fails_midway_prints_nothing(capsys, monkeypatch):
     ])
     assert len(rendered) == 1
     assert (code, out, err) == (2, "", "ParseError: render failed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "dominant", "--datum", _golden("a1.json"), "--point", "1_0"],
+        ["weyl", "dominant", "--datum", _golden("a1.json"), "--point", "١"],  # Arabic-Indic 1
+        ["weyl", "dominant", "--datum", _golden("a1.json"), "--point", " 1"],
+        ["weyl", "dominant", "--datum", _golden("a1.json"), "--point", "+1"],
+        ["weyl", "dominant", "--datum", _golden("a2.json"), "--point", "1,,0"],
+        ["weyl", "dominant", "--datum", _golden("a2.json"), "--point", "1,0,"],
+        ["weyl", "bruhat", "--datum", _golden("a2.json"), "--left", "0_0", "--right", "0"],
+        ["weyl", "orbit", "--datum", _golden("a1.json"), "--point", "1", "--budget-orbit", "1_0"],
+        ["weyl", "dominant", "--datum", _golden("a1.json"), "--point", "1", "--budget-tits", "١"],
+        ["complete", "efun", "--datum", _golden("a2.json"), _golden("a2_fun.json"),
+         "--region-gens", "2,2;", "--region-height", "3"],
+        ["complete", "efun", "--datum", _golden("a2.json"), _golden("a2_fun.json"),
+         "--region-gens", "2,2;;2,2", "--region-height", "3"],
+    ],
+)
+def test_integers_parse_strictly(argv):
+    """Only ASCII `-?[0-9]+` entries are integers; `int` would read each of these."""
+    code, out, err = _in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") >= 1
+
+
+def test_empty_word_spellings(capsys):
+    for left, right in (("", "e"), ("e", "")):
+        argv = ["weyl", "bruhat", "--datum", _golden("a2.json"), "--left", left, "--right", right]
+        assert run(capsys, argv) == (0, "True\n", "")
+
+
+@pytest.mark.parametrize("flag", ["--q", "--qprime"])
+def test_treecount_needs_both_parameters(capsys, flag):
+    code, out, err = run(capsys, ["parahoric", "treecount", "--length", "3", flag, "2"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1

@@ -45,15 +45,31 @@ def test_det_adjugate_inverts(rows):
     assert linalg.mat_mul(tuple(map(tuple, rows)), adj) == scaled
 
 
-def test_fm_feasible_trichotomy_cases():
-    # A2 is finite type: u > 0 with Au > 0
-    assert linalg.exists_positive_solution([[2, -1], [-1, 2]], "pos")
-    # affine A1: no strict solution but a positive kernel vector
-    assert not linalg.exists_positive_solution([[2, -2], [-2, 2]], "pos")
-    assert linalg.exists_positive_solution([[2, -2], [-2, 2]], "zero")
-    # rank-2 indefinite: neither
-    assert not linalg.exists_positive_solution([[2, -3], [-3, 2]], "pos")
-    assert not linalg.exists_positive_solution([[2, -3], [-3, 2]], "zero")
+def test_leading_minors_positive_trichotomy_cases():
+    # A2 is finite type: leading minors 2 and 3
+    assert linalg.leading_minors_positive([[2, -1], [-1, 2]])
+    # affine A1: the determinant is 0
+    assert not linalg.leading_minors_positive([[2, -2], [-2, 2]])
+    # rank-2 indefinite: the determinant is -5
+    assert not linalg.leading_minors_positive([[2, -3], [-3, 2]])
+    # a zero pivot stops the elimination; no row exchange hides it
+    assert not linalg.leading_minors_positive([[0, 1], [1, 2]])
+    assert linalg.leading_minors_positive([])
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3
+    )
+)
+def test_leading_minors_positive_matches_the_minors(rows):
+    def det(m):  # Laplace expansion along the first row
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+    minors = [det([row[:k] for row in rows[:k]]) for k in range(1, 4)]
+    assert linalg.leading_minors_positive(rows) == all(d > 0 for d in minors)
 
 
 @given(

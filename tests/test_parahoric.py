@@ -157,6 +157,13 @@ class TestTreeCount:
         assert poly == LaurentPoly.monomial((1, 2))  # q' q q'
         assert tree_orbit_size(4, 3, 2) == 2 * 3 * 2
 
+    def test_one_parameter_refused(self):
+        for l in (1, 3):
+            with pytest.raises(ValueError):
+                tree_orbit_size(l, q=2)
+            with pytest.raises(ValueError):
+                tree_orbit_size(l, qprime=2)
+
 
 class TestObstruction:
     def test_chain3_stream(self, chain3):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from kmhecke.root_system import (
     build_realization,
     central_coroot,
     classify_components,
+    classify_gcm,
     datum_from_json,
     datum_to_json,
     dominance_leq,
@@ -222,6 +225,125 @@ class TestClassify:
             c.kind for c in classify_components(build_realization(validate_gcm(m))).components
         )
         assert kinds(base) == kinds(permuted)
+
+
+# --- an independent oracle for the trichotomy ---
+# Kac, Infinite dimensional Lie algebras, Thm. 4.3: an indecomposable GCM A
+# is of exactly one type, and each type has a certificate checked here in
+# exact arithmetic: Finite, A^-1 (1, ..., 1) > 0; Affine, delta > 0 with
+# A delta = 0 (and k > 0 with A^T k = 0); Indefinite, some v > 0 with A v < 0.
+
+_SEARCH = {m: sorted(itertools.product(range(1, 13), repeat=m), key=max) for m in range(1, 5)}
+
+
+def _check_certificates(matrix):
+    gcm = validate_gcm(matrix)
+    report = classify_gcm(gcm)
+    assert sorted(i for c in report.components for i in c.indices) == list(range(gcm.n))
+    for comp in report.components:
+        sub = gcm.submatrix(comp.indices).entries
+        m = len(comp.indices)
+        if comp.kind == FINITE:
+            u = linalg.solve_exact(sub, (1,) * m)
+            assert u is not None and all(x > 0 for x in u), (matrix, comp)
+            assert comp.delta_coeffs is None and comp.coroot_kernel is None
+        elif comp.kind == AFFINE:
+            delta, k = comp.delta_coeffs, comp.coroot_kernel
+            assert all(x > 0 for x in delta) and linalg.mat_vec(sub, delta) == (0,) * m
+            assert all(x > 0 for x in k) and linalg.mat_vec(tuple(zip(*sub)), k) == (0,) * m
+        else:
+            assert comp.kind == INDEFINITE
+            assert any(all(x < 0 for x in linalg.mat_vec(sub, v)) for v in _SEARCH[m]), (matrix, comp)
+            assert comp.delta_coeffs is None and comp.coroot_kernel is None
+    return report
+
+
+def _small_gcms():
+    """Every GCM of rank <= 3 with off-diagonal entries in 0..-4."""
+    pair_values = [(0, 0)] + [(a, b) for a in range(-4, 0) for b in range(-4, 0)]
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for values in itertools.product(pair_values, repeat=len(pairs)):
+            m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), (a, b) in zip(pairs, values):
+                m[i][j], m[j][i] = a, b
+            yield m
+
+
+def _from_edges(n, edges):
+    """The GCM with A[i][j] = a, A[j][i] = b for each edge (i, j, a, b)."""
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, a, b in edges:
+        m[i][j], m[j][i] = a, b
+    return m
+
+
+def _chain(n):
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
+
+
+def _finite_families():
+    for n in range(1, 11):
+        yield f"A{n}", _from_edges(n, _chain(n))
+    for n in range(2, 11):
+        yield f"B{n}", _from_edges(n, _chain(n - 1) + [(n - 2, n - 1, -2, -1)])
+        yield f"C{n}", _from_edges(n, _chain(n - 1) + [(n - 2, n - 1, -1, -2)])
+    for n in range(4, 11):
+        yield f"D{n}", _from_edges(n, _chain(n - 1) + [(n - 3, n - 1, -1, -1)])
+    for n in (6, 7, 8):
+        yield f"E{n}", _from_edges(n, _chain(n - 1) + [(2, n - 1, -1, -1)])
+    yield "F4", _from_edges(4, [(0, 1, -1, -1), (1, 2, -2, -1), (2, 3, -1, -1)])
+    yield "G2", [[2, -1], [-3, 2]]
+
+
+def _cyclic_affine(n):
+    """Affine A~n on n + 1 nodes: a cycle, or the double bond for n = 1."""
+    if n == 1:
+        return [[2, -2], [-2, 2]]
+    return _from_edges(n + 1, _chain(n + 1) + [(0, n, -1, -1)])
+
+
+INDEFINITE_6 = [
+    [2, -3, 0, -2, -3, -2], [-1, 2, -2, -1, 0, 0], [0, -3, 2, -3, 0, 0],
+    [-1, -2, -1, 2, 0, -3], [-3, 0, 0, 0, 2, -3], [-3, 0, 0, -3, -3, 2],
+]
+
+
+class TestTrichotomyOracle:
+    def test_every_small_gcm(self):
+        count = 0
+        for matrix in _small_gcms():
+            _check_certificates(matrix)
+            count += 1
+        assert count == 4931
+
+    @pytest.mark.parametrize("name, matrix", list(_finite_families()))
+    def test_finite_families(self, name, matrix):
+        assert _check_certificates(matrix).kinds == (FINITE,)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclic_affine(self, n):
+        (comp,) = _check_certificates(_cyclic_affine(n)).components
+        assert comp.kind == AFFINE and comp.delta_coeffs == (1,) * (n + 1)
+
+    def test_singular_indefinite(self):
+        """A one-dimensional kernel that is not one-signed, (1, 1, -1, -1), is no affine delta."""
+        matrix = [[2, -2, 0, 0], [-3, 2, -1, 0], [0, -1, 2, -3], [0, 0, -2, 2]]
+        assert linalg.kernel_basis_int(matrix) == [(1, 1, -1, -1)]
+        assert _check_certificates(matrix).kinds == (INDEFINITE,)
+
+    @pytest.mark.parametrize(
+        "matrix, kind", [(_cyclic_affine(5), AFFINE), (INDEFINITE_6, INDEFINITE)]
+    )
+    def test_rank_six_decided_quickly(self, matrix, kind):
+        """Fourier-Motzkin elimination took 14 s and 159 s on these two (2-CPU VM).
+
+        The bound catches a search that is exponential in the rank.
+        """
+        t0 = time.perf_counter()
+        report = classify_gcm.__wrapped__(validate_gcm(matrix))
+        assert time.perf_counter() - t0 < 2.0
+        assert report.kinds == (kind,)
 
 
 class TestAlphaImageIndex:
