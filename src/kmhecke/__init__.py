@@ -38,7 +38,6 @@ from .parahoric import (
 from .root_system import (
     GCM,
     ComponentReport,
-    CorootVector,
     RootDatum,
     alpha_image_index,
     build_realization,

@@ -79,6 +79,14 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """An integer >= 0, for counts, budgets and caps."""
+    n = _int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return n
+
+
 def _point(text: str):
     """`1,0,-1`; the empty text is the empty point, and no entry may be empty."""
     return tuple(map(_int, text.split(","))) if text else ()
@@ -363,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weyl").add_subparsers(dest="sub", required=True)
     wo = with_datum(w.add_parser("orbit"))
     wo.add_argument("--point", required=True)
-    wo.add_argument("--budget-orbit", type=_int, default=DEFAULT_ORBIT_CAP)
-    wo.add_argument("--max-length", type=_int, default=None)
-    wo.add_argument("--max-height-drop", type=_int, default=None)
+    wo.add_argument("--budget-orbit", type=_count, default=DEFAULT_ORBIT_CAP)
+    wo.add_argument("--max-length", type=_count, default=None)
+    wo.add_argument("--max-height-drop", type=_count, default=None)
     wo.set_defaults(fn=_cmd_weyl_orbit)
     wd = with_datum(w.add_parser("dominant"))
     wd.add_argument("--point", required=True)
-    wd.add_argument("--budget-tits", type=_int, default=DEFAULT_TITS_BUDGET)
+    wd.add_argument("--budget-tits", type=_count, default=DEFAULT_TITS_BUDGET)
     wd.set_defaults(fn=_cmd_weyl_dominant)
     wb = with_datum(w.add_parser("bruhat"))
     wb.add_argument("--left", required=True)
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     wb.set_defaults(fn=_cmd_weyl_bruhat)
     ww = with_datum(w.add_parser("words"))
     ww.add_argument("--word", required=True)
-    ww.add_argument("--budget-words", type=_int, default=DEFAULT_WORD_CAP)
+    ww.add_argument("--budget-words", type=_count, default=DEFAULT_WORD_CAP)
     ww.set_defaults(fn=_cmd_weyl_words)
 
     h = sub.add_parser("hecke").add_subparsers(dest="sub", required=True)
@@ -395,18 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_argument("left")
     km.add_argument("right")
     km.add_argument("--region-gens", default=None)
-    km.add_argument("--region-height", type=_int, default=0)
-    km.add_argument("--u-cap", type=_int, default=8)
+    km.add_argument("--region-height", type=_count, default=0)
+    km.add_argument("--u-cap", type=_count, default=8)
     km.set_defaults(fn=_cmd_complete_mul)
     ke = with_datum(k.add_parser("efun"))
     ke.add_argument("function")
     ke.add_argument("--region-gens", default=None)
-    ke.add_argument("--region-height", type=_int, default=0)
+    ke.add_argument("--region-height", type=_count, default=0)
     ke.set_defaults(fn=_cmd_complete_efun)
     kc = with_datum(k.add_parser("center"))
     kc.add_argument("element")
     kc.add_argument("--probes", default=None)
-    kc.add_argument("--u-cap", type=_int, default=8)
+    kc.add_argument("--u-cap", type=_count, default=8)
     kc.set_defaults(fn=_cmd_complete_center)
 
     p = sub.add_parser("parahoric").add_subparsers(dest="sub", required=True)
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(fn=_cmd_parahoric_product)
     pf = with_datum(p.add_parser("failure"))
     pf.add_argument("--jzero", required=True)
-    pf.add_argument("--count", type=_int, required=True)
+    pf.add_argument("--count", type=_count, required=True)
     pf.set_defaults(fn=_cmd_parahoric_failure)
     pt = p.add_parser("treecount")
     pt.add_argument("--length", type=_int, required=True)

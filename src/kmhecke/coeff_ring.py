@@ -101,13 +101,6 @@ def unpack(r: int, n: int) -> tuple[int, ...]:
 
 def mul(p: Packed, q: Packed) -> Packed:
     """The product p * q of zero-free maps, as a new zero-free map."""
-    if len(p) == 1:
-        p, q = q, p
-    if len(q) == 1:  # distinct exponents stay distinct, nonzero coefficients nonzero
-        ((e2, c2),) = q.items()
-        if c2 == 1:
-            return {e1 + e2: c1 for e1, c1 in p.items()}
-        return {e1 + e2: c1 * c2 for e1, c1 in p.items()}
     out: Packed = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

@@ -257,15 +257,16 @@ class BLElement:
 # every point a product reaches lie in -SUM_HALF .. SUM_HALF - 1 (2^22).
 # Each memo entry carries a box: the least and greatest value, coordinate
 # by coordinate, of every offset its chain reached, reflections included
-# (window points lie between).  `mult_bl` refuses (CoordinateOutOfRange)
-# when mu + box leaves that range, which is exactly when a point of the
-# chain from mu would.  The memo refuses a box wider than the range, which
-# no mu fits; every offset it stores thus fits a packed digit.  A window
-# has |alpha_i(nu)| terms; one longer than WINDOW_CAP is refused
-# (BudgetExceeded) before any term is built, and so is a segment of
-# `r_window`, which spans the same range.  A window refused inside the
-# memo carries the box reached before it, so that `mult_bl` refuses the
-# points first, in the order of the chain.
+# (window points lie between), and offset 0.  `mult_bl` refuses
+# (CoordinateOutOfRange) when mu + box leaves that range, which is exactly
+# when mu or a point of the chain from mu would; it tests the box only
+# where mu plus the entry's largest offset could leave the range.  The
+# memo refuses a box wider than the range, which no mu fits; every offset
+# it stores thus fits a packed digit.  A window has |alpha_i(nu)| terms;
+# one longer than WINDOW_CAP is refused (BudgetExceeded) before any term
+# is built, and so is a segment of `r_window`, which spans the same range.
+# A window refused inside the memo carries the box reached before it, so
+# that `mult_bl` refuses the points first, in the order of the chain.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 WINDOW_CAP = 1 << 16  # terms of one commutation window
@@ -280,19 +281,6 @@ def _acc(acc: dict, terms, shift: int, p: dict):
     and every q are zero-free and only read.
     """
     get = acc.get
-    if len(p) == 1:
-        ((e1, c1),) = p.items()
-        for key, q in terms:
-            k = key + shift
-            t = get(k)
-            if t is None:
-                acc[k] = {e1 + e2: c1 * c2 for e2, c2 in q.items()}
-            else:
-                tget = t.get
-                for e2, c2 in q.items():
-                    e = e1 + e2
-                    t[e] = tget(e, 0) + c1 * c2
-        return
     pitems = p.items()
     for key, q in terms:
         k = key + shift
@@ -400,8 +388,8 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
 
     `state` maps pack(offset) * ID_CAP + element id t to a coefficient c:
     H_u Z^mu is the sum of c Z^{mu + offset} H_t.  `lo` and `hi` bound,
-    coordinate by coordinate, every offset the chain reached, and `reach`
-    is the largest of their absolute values.
+    coordinate by coordinate, every offset the chain reached, 0 included,
+    and `reach` is the largest of their absolute values.
 
     With i the first letter of u's canonical word, r_i u has the rest of
     the word, so an entry is one H_i step on the entry for r_i u:
@@ -479,7 +467,8 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
         pmu = (key_b - vid) // ID_CAP
         mu = unpack(pmu, rank)
         pairs = tuple(linalg.dot(root, mu) for root in datum.roots)
-        # mu + an offset of absolute value at most `slack` cannot leave the range
+        # mu + an offset of absolute value at most `slack` cannot leave the range;
+        # a mu outside it has slack < 0 <= reach, so the box check refuses it
         slack = SUM_HALF - 1 - max(map(abs, mu), default=0)
         groups[vid].append((pmu, mu, pairs, slack, pb))
     out: dict[int, dict] = {}
@@ -489,8 +478,6 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
             uid = key_a % ID_CAP
             lam = key_a - uid
             for pmu, mu, pairs, slack, pb in group:
-                if slack < 0:
-                    require_summable(pmu, rank)
                 try:
                     state, lo, hi, reach = _basis_product_packed(datum, classes, uid, pairs)
                 except BudgetExceeded as exc:

@@ -197,8 +197,6 @@ def tree_orbit_size(l: int, q=None, qprime=None):
     n_q = (l - 1) // 2
     if q is None:
         return LaurentPoly.monomial((n_q, n_qp))
-    if isinstance(q, int) and isinstance(qprime, int):
-        return (qprime ** n_qp) * (q ** n_q)
     return (q ** n_q) * (qprime ** n_qp)
 
 

@@ -196,21 +196,7 @@ def build_realization(gcm: GCM, custom: tuple[int, tuple, tuple] | None = None) 
     return RootDatum(gcm, rank_y, coroots, roots)
 
 
-@dataclass(frozen=True)
-class CorootVector:
-    """Integer coordinates on the simple-coroot basis."""
-
-    coords: Point
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-
-def q_coords(datum: RootDatum, v) -> CorootVector | None:
+def q_coords(datum: RootDatum, v) -> Point | None:
     """Coordinates of `v` on the coroot basis, if `v` lies in the integer span.
 
     Solves the stored independent block, x = adj . v[rows] / det, and
@@ -230,7 +216,7 @@ def q_coords(datum: RootDatum, v) -> CorootVector | None:
     coords = tuple(coords)
     if linalg.mat_vec(cmat, coords) != v:
         return None
-    return CorootVector(coords)
+    return coords
 
 
 def dominance_leq(datum: RootDatum, x, y) -> bool:
@@ -255,9 +241,9 @@ def height_between(datum: RootDatum, lo, hi) -> int | None:
 @lru_cache(maxsize=DOMINANCE_MEMO_SIZE)
 def _dominance_coords(datum: RootDatum, lo: Point, hi: Point) -> Point | None:
     q = q_coords(datum, linalg.vec_sub(hi, lo))
-    if q is None or not q.is_nonnegative():
+    if q is None or not all(c >= 0 for c in q):
         return None
-    return q.coords
+    return q
 
 
 @dataclass(frozen=True)

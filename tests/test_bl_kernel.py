@@ -216,6 +216,29 @@ def test_central_translates_read_one_memo_entry(aff):
     check()
 
 
+def _small_maps(max_size):
+    return st.dictionaries(st.integers(-5, 5), st.integers(-3, 3).filter(bool), min_size=1, max_size=max_size)
+
+
+@given(
+    _small_maps(1),
+    st.dictionaries(st.integers(0, 8), _small_maps(3), max_size=5),
+    st.dictionaries(st.integers(0, 8), _small_maps(3), max_size=4),
+    st.integers(0, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_acc_of_one_term_matches_the_reference(p, terms, existing, shift):
+    """`_acc` with a single-term p, into keys it creates and keys the accumulator already holds."""
+    want = defaultdict(lambda: defaultdict(int))
+    for k, d in existing.items():
+        want[k].update(d)
+    for key, q in terms.items():
+        ref_mul_acc(want[key + shift], p, q)
+    acc = {k: dict(d) for k, d in existing.items()}
+    hecke_bl._acc(acc, terms.items(), shift, p)
+    assert ref_settle(acc) == ref_settle(want)
+
+
 # --- bounded tables ----------------------------------------------------------
 
 

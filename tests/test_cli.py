@@ -537,6 +537,18 @@ def test_point_out_of_range_refused_before_a_later_window_budget(capsys, tmp_pat
     assert budget[0] == 3 and budget[1] == "" and "65539 terms" in budget[2]
 
 
+def test_chain_reaching_the_high_edge_answered_and_one_past_refused(capsys, tmp_path):
+    """H_1 Z^mu with alpha_1(mu) = -2 reflects mu to mu + 2 alpha_1^v, whose first coordinate is
+    mu_1 + 4194306.  From mu = (-3, -1) the chain reaches 2^22 - 1 exactly and the product is
+    answered; from mu = (-2, -1) it reaches 2^22, one past the range, and is refused."""
+    datum = {"gcm": [[2]], "rank_y": 2, "coroots": [[2097153, 1]], "roots": [[0, 2]]}
+    answered, refused = _mul_points(capsys, tmp_path, datum, [0], [[-3, -1], [-2, -1]])
+    assert answered == (0, "(σ1'^-1 - σ1')·Z^(2097150,0) + (σ1^-1 - σ1)·Z^(4194303,1)"
+                           " + Z^(4194303,1)·H_1\n", "")
+    assert refused[0] == 2 and refused[1] == ""
+    assert refused[2].startswith("CoordinateOutOfRange: ") and "4194304" in refused[2]
+
+
 def test_exponent_sums_that_would_carry_refused(capsys, tmp_path):
     """Used to print σ1^-8388608·σ1': the product added the exponents 2^23 - 1 and 1."""
     left, right = tmp_path / "left.json", tmp_path / "right.json"
@@ -856,3 +868,28 @@ def test_treecount_needs_both_parameters(capsys, flag):
     code, out, err = run(capsys, ["parahoric", "treecount", "--length", "3", flag, "2"])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parahoric", "failure", "--datum", _golden("chain3.json"), "--jzero", "0,1", "--count", "-3"],
+        ["weyl", "orbit", "--datum", _golden("a2.json"), "--point", "1,1", "--budget-orbit", "-5"],
+        ["weyl", "orbit", "--datum", _golden("a2.json"), "--point", "1,1", "--max-length", "-1"],
+        ["weyl", "orbit", "--datum", _golden("a2.json"), "--point", "1,1", "--max-height-drop", "-1"],
+        ["weyl", "words", "--datum", _golden("a2.json"), "--word", "0,1,0", "--budget-words", "-1"],
+        ["weyl", "dominant", "--datum", _golden("mixed3.json"), "--point", "1,0,-1", "--budget-tits", "-1"],
+        ["complete", "center", "--datum", _golden("a2.json"), _golden("a2_orbit_sum_6.json"), "--u-cap", "-1"],
+        ["complete", "mul", "--datum", _golden("a1.json"), _golden("a1_h1.json"), _golden("a1_z_weak.json"),
+         "--region-gens", "0", "--region-height", "1", "--u-cap", "-1"],
+        ["complete", "mul", "--datum", _golden("a1.json"), _golden("a1_h1.json"), _golden("a1_z_weak.json"),
+         "--region-gens", "0", "--region-height", "-1"],
+        ["complete", "efun", "--datum", _golden("a2.json"), _golden("a2_fun.json"),
+         "--region-gens", "2,2", "--region-height", "-1"],
+    ],
+)
+def test_negative_counts_and_budgets_refused(argv):
+    """Each of these flags counts or bounds something, and refuses a negative value while parsing."""
+    code, out, err = _in_process(argv)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-2]}: not a nonnegative integer: '{argv[-1]}'" in err

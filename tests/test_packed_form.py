@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kmhecke import hecke_bl
-from kmhecke.coeff_ring import FACTOR_HALF, SUM_HALF, LaurentPoly, pack, param_ring_for
+from kmhecke.coeff_ring import FACTOR_HALF, SUM_HALF, LaurentPoly, mul, pack, param_ring_for
 from kmhecke.coeff_ring import require_factors, require_summable
 from kmhecke.errors import CoordinateOutOfRange, ExponentLengthMismatch, PointLengthMismatch
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
@@ -116,6 +116,27 @@ def test_add_mul_neg_match_reference(args):
     assert (pf * pg).coeffs == ref_mul(f, g)
     assert (pf * 3).coeffs == {e: 3 * c for e, c in f.items()}
     assert (pf * 0).is_zero()
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            coeff_maps(n),
+            st.tuples(*(st.integers(min_value=-6, max_value=6) for _ in range(n))),
+            st.sampled_from((1, -1, 3)),
+        )
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_mul_by_one_term_matches_reference(args):
+    """`mul` with a single-term factor of coefficient 1, -1 or 3, on either side."""
+    n, f, e, c = args
+    pf, pt = LaurentPoly(n, f).packed, LaurentPoly(n, {e: c}).packed
+    for p, q, want in ((pf, pt, ref_mul(f, {e: c})), (pt, pf, ref_mul({e: c}, f))):
+        got = mul(p, q)
+        assert LaurentPoly.from_packed(n, got).coeffs == want
+        assert 0 not in got.values()
 
 
 @given(

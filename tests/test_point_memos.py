@@ -23,9 +23,9 @@ TABLES = (root_system._dominance_coords, completed._cone_points, weyl._orbit_mem
 
 def _height_by_solve(datum, lo, hi):
     q = q_coords(datum, linalg.vec_sub(tuple(hi), tuple(lo)))
-    if q is None or not q.is_nonnegative():
+    if q is None or not all(c >= 0 for c in q):
         return None
-    return q.height
+    return sum(q)
 
 
 @pytest.mark.parametrize("name", ("a2", "aff"))

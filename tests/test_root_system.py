@@ -109,12 +109,10 @@ class TestBuildRealization:
 
 class TestQCoords:
     def test_a2_identity_lattice(self, a2):
-        q = q_coords(a2, (1, 2))
-        assert q.coords == (1, 2) and q.height == 3
+        assert q_coords(a2, (1, 2)) == (1, 2)
 
     def test_dominant_point_not_below_zero(self, mixed3):
-        q = q_coords(mixed3, (-2, 1, -1))
-        assert q.coords == (-2, 1, -1)
+        assert q_coords(mixed3, (-2, 1, -1)) == (-2, 1, -1)
         assert not dominance_leq(mixed3, (-2, 1, -1), (0, 0, 0))
         # and it is dominant: alpha_i values all positive
         assert [mixed3.pairing(i, (-2, 1, -1)) for i in range(3)] == [1, 2, 2]
@@ -124,7 +122,7 @@ class TestQCoords:
 
     def test_index_four_sublattice(self, det4):
         assert abs(det4._solver[2]) == 4
-        assert q_coords(det4, (4, 2, 0)).coords == (1, 1)
+        assert q_coords(det4, (4, 2, 0)) == (1, 1)
         assert q_coords(det4, (2, 1, 0)) is None  # rational coordinates (1/2, 1/2)
         assert q_coords(det4, (1, 0, 0)) is None
         assert q_coords(det4, (2, 2, 1)) is None  # off the rational span
@@ -155,8 +153,7 @@ class TestQCoords:
             tuple(datum.coroots[i][r] for i in range(datum.n)) for r in range(datum.rank_y)
         )
         want = linalg.integer_solution(cmat, v)
-        got = q_coords(datum, v)
-        assert (None if got is None else got.coords) == want
+        assert q_coords(datum, v) == want
 
 
 class TestDominance:
@@ -186,17 +183,6 @@ class TestDominance:
         for x, y, z in zip(pts, pts[1:], pts[2:]):
             if dominance_leq(a2, x, y) and dominance_leq(a2, y, z):
                 assert dominance_leq(a2, x, z)
-
-
-@given(
-    st.tuples(*(st.integers(min_value=-5, max_value=5) for _ in range(2))),
-    st.tuples(*(st.integers(min_value=-5, max_value=5) for _ in range(2))),
-)
-def test_height_additive(q1, q2):
-    from kmhecke.root_system import CorootVector
-
-    total = CorootVector(tuple(a + b for a, b in zip(q1, q2)))
-    assert total.height == CorootVector(q1).height + CorootVector(q2).height
 
 
 class TestClassify:
@@ -365,7 +351,7 @@ def test_q_coords_reconstruct(mixed3):
         v = tuple(rng.randint(-4, 4) for _ in range(3))
         q = q_coords(mixed3, v)
         rebuilt = tuple(
-            sum(q.coords[i] * mixed3.coroots[i][r] for i in range(3)) for r in range(3)
+            sum(q[i] * mixed3.coroots[i][r] for i in range(3)) for r in range(3)
         )
         assert rebuilt == v
 
