@@ -43,6 +43,7 @@ _BASE = 1 << _BITS
 _HALF = _BASE >> 1
 SUM_HALF = _HALF >> 1  # entries of vectors that are added to one another in packed form
 FACTOR_HALF = SUM_HALF >> 1  # exponents of the factors of a coefficient product
+PARAM_RING_MEMO_SIZE = 1 << 7  # root-datum entries of the `param_ring_for` memo
 
 
 def pack(e, half: int = _HALF) -> int:
@@ -458,6 +459,6 @@ def build_param_ring(datum: RootDatum) -> ParamClasses:
     return ParamClasses(n, tuple(index[find(x)] for x in range(2 * n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAM_RING_MEMO_SIZE)
 def param_ring_for(datum: RootDatum) -> ParamClasses:
     return build_param_ring(datum)

@@ -414,14 +414,18 @@ def _require_certifiable(cert_a: AFCertificate, u_cap: int, cert_b: AFCertificat
 
     `cert_b` is the right certificate that bounds the reverse windows, or
     None when the right factor is explicit and the windows run forward.
+    A refusal sets `needed` to ("right", None, u): the right factor as a
+    whole, for the first left Weyl part u that has windows.
     """
     for u in cert_a.w_part:
         if u.length > u_cap:
             raise CapExceeded(f"left Weyl support length {u.length} exceeds u_cap={u_cap}")
-    if cert_b is not None and not cert_b.dominant and any(u.word for u in cert_a.w_part):
+    windowed = [u for u in cert_a.w_part if u.word]
+    if cert_b is not None and not cert_b.dominant and windowed:
         raise InsufficientSource(
             "left factor has nontrivial Weyl support; the right factor's certificate "
-            "must carry dominant support bounds for the product to be certifiable"
+            "must carry dominant support bounds for the product to be certifiable",
+            needed=("right", None, windowed[0]),
         )
 
 

@@ -1,15 +1,32 @@
-"""Exact rational linear algebra on small matrices.
+"""Exact integer linear algebra on small matrices.
 
-Everything here works over `fractions.Fraction` (or plain ints where
-closure under the operation permits); no floating point is used anywhere.
-Matrices are immutable tuples of tuples, vectors are tuples, so results
-can be hashed and used as dictionary keys.
+Everything here works over Z, in Python integers: no rationals and no
+floating point are used anywhere.  Matrices are immutable tuples of tuples,
+vectors are tuples, so results can be hashed and used as dictionary keys.
+
+Every elimination is one routine, `bareiss`: fraction-free Gauss-Jordan
+elimination over Z (Bareiss, Math. Comp. 22 (1968)).  Step k takes as
+its pivot p_k the entry, in the next column that has one, of the first
+row at or below row k that is nonzero there; it moves that row up to row
+k and replaces every other row by (p_k * row - row[c] * pivot row) //
+p_(k-1), with p_0 = 1.  Invariants:
+
+- every entry is, up to sign, a minor of the input (Sylvester's
+  identity), so each division is exact;
+- after step k every pivot row holds p_k at its own pivot column and 0
+  at the others, so the result is d times the reduced row echelon form,
+  with d the last pivot;
+- while no rows have been exchanged, p_k is the k-th leading principal
+  minor.
+
+The rank and pivot columns, the primitive kernel basis, the solution of
+A x = b (as v / d), the determinant (+-d) and the adjugate of a square
+matrix are all read off this one pass.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd
 
 Vec = tuple[int, ...]
@@ -59,142 +76,126 @@ def primitive(v: Vec) -> Vec:
     return w
 
 
-def _as_fraction_rows(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def bareiss(rows) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The fraction-free Gauss-Jordan elimination of an integer matrix.
 
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    Returns (m, cols, pivots, swaps): the eliminated rows, the pivot
+    column of each of the first len(cols) rows (the rows after them are
+    zero), the pivots p_0 = 1, p_1, ... (so d = pivots[-1]) and the
+    number of row exchanges.
+    """
+    m = [list(row) for row in rows]
+    cols: list[int] = []
+    pivots = [1]
+    swaps = 0
+    for c in range(len(m[0]) if m else 0):
+        r = len(cols)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            swaps += 1
+        top, p, prev = m[r], m[r][c], pivots[-1]
+        for k, row in enumerate(m):
+            if k != r:
+                f = row[c]
+                m[k] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        cols.append(c)
+        pivots.append(p)
+    return m, cols, pivots, swaps
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : A x = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            x[c] = -m[r][f]
-        basis.append(tuple(x))
-    return basis
+    return len(bareiss(rows)[1])
 
 
 def kernel_basis_int(rows) -> list[Vec]:
-    """Right-kernel basis scaled to primitive integer vectors."""
-    out = []
-    for v in kernel_basis(rows):
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        out.append(primitive(tuple(int(x * lcm) for x in v)))
-    return out
+    """Basis of the right kernel {x : A x = 0}, as primitive integer vectors.
 
-
-def solve_exact(rows, rhs) -> tuple[Fraction, ...] | None:
-    """One solution of A x = rhs over the rationals, or None if inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
+    One vector per free column f: x_f = d and x_c = -m[r][f] on the pivot
+    column c of row r, which A annihilates because m is d times the
+    reduced row echelon form of A.
     """
     if not rows:
-        return () if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+        return []
+    m, cols, pivots, _ = bareiss(rows)
+    basis = []
+    for f in range(len(rows[0])):
+        if f not in cols:
+            x = [0] * len(rows[0])
+            x[f] = pivots[-1]
+            for r, c in enumerate(cols):
+                x[c] = -m[r][f]
+            basis.append(primitive(tuple(x)))
+    return basis
+
+
+def _solve(rows, rhs) -> tuple[list[int], int] | None:
+    """(v, d) with d > 0, A v = d rhs and free coordinates zero; None if
+    the system is inconsistent."""
+    if not rows:
+        return ([], 1) if all(x == 0 for x in rhs) else None
+    n = len(rows[0])
+    m, cols, pivots, _ = bareiss([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in cols:
         return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
-    return tuple(x)
+    sign = 1 if pivots[-1] > 0 else -1
+    v = [0] * n
+    for r, c in enumerate(cols):
+        v[c] = sign * m[r][n]
+    return v, sign * pivots[-1]
+
+
+def solve_exact(rows, rhs) -> Vec | None:
+    """One solution of A x = rhs, scaled by the least positive integer that
+    makes it integral; None if the system is inconsistent.
+
+    Free variables are set to zero, so the result is deterministic.  The
+    solution is v / d, and the scale is d / gcd(d, v).
+    """
+    if (sol := _solve(rows, rhs)) is None:
+        return None
+    g = gcd(sol[1], *sol[0])
+    return tuple(x // g for x in sol[0])
 
 
 def integer_solution(rows, rhs) -> Vec | None:
-    """Like solve_exact but returns None unless the solution is integral.
+    """The solution of A x = rhs with free coordinates zero, or None unless
+    it exists and is integral.
 
     Only valid as a uniqueness statement when the columns of A are
     linearly independent (the callers guarantee this).
     """
-    x = solve_exact(rows, rhs)
-    if x is None or any(f.denominator != 1 for f in x):
+    sol = _solve(rows, rhs)
+    if sol is None or any(x % sol[1] for x in sol[0]):
         return None
-    return tuple(int(f) for f in x)
+    return tuple(x // sol[1] for x in sol[0])
 
 
 def leading_minors_positive(rows) -> bool:
     """Whether every leading principal minor of a square matrix is positive.
 
-    Gaussian elimination over the rationals without row exchanges: while
-    the earlier pivots are nonzero, the k-th pivot is the quotient of the
-    k-th and (k-1)-th leading minors, so all pivots are positive exactly
-    when all leading minors are.
+    Without a row exchange the k-th Bareiss pivot is the k-th leading
+    minor, and an exchange or a skipped column means some minor is 0.
     """
-    m = _as_fraction_rows(rows)
-    for c, row in enumerate(m):
-        if row[c] <= 0:
-            return False
-        for below in m[c + 1:]:
-            if below[c]:
-                f = below[c] / row[c]
-                below[c:] = [x - f * y for x, y in zip(below[c:], row[c:])]
-    return True
+    _, cols, pivots, swaps = bareiss(rows)
+    return swaps == 0 and len(cols) == len(rows) and all(p > 0 for p in pivots)
 
 
 def det_adjugate(rows) -> tuple[int, Mat]:
     """Determinant and adjugate of an invertible square integer matrix.
 
     adj(A) A = A adj(A) = det(A) I, so A x = b has the solution
-    adj(A) b / det(A), computed in integers.  Gauss-Jordan over the
-    rationals; raises ValueError on a singular matrix.
+    adj(A) b / det(A), computed in integers.  Eliminating [A | I] leaves
+    [d I | d A^-1] with d = +-det(A), the sign that of the row exchanges;
+    raises ValueError on a singular matrix.
     """
     n = len(rows)
-    m = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix has no adjugate inverse")
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        p = m[c][c]
-        det *= p
-        m[c] = [x / p for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return int(det), tuple(tuple(int(x * det) for x in row[n:]) for row in m)
+    m, cols, pivots, swaps = bareiss(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    if cols != list(range(n)):
+        raise ValueError("singular matrix has no adjugate inverse")
+    sign = -1 if swaps % 2 else 1
+    return sign * pivots[-1], tuple(tuple(sign * x for x in row[n:]) for row in m)

@@ -48,6 +48,7 @@ FINITE = "Finite"
 AFFINE = "Affine"
 INDEFINITE = "Indefinite"
 DOMINANCE_MEMO_SIZE = 1 << 14  # (datum, lo, hi) entries of the dominance memo
+CLASSIFY_MEMO_SIZE = 1 << 10  # GCM entries of the type memo of `classify_gcm`
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class RootDatum:
     roots[j] . coroots[i] == gcm[i][j].
 
     `_solver` holds what `q_coords` needs: the indices of n independent
-    rows of the coroot matrix C (rank_y x n, columns the coroots), the
-    integer adjugate and determinant of that n x n block, and C itself.
+    rows of the coroot matrix C (rank_y x n, columns the coroots), read as
+    the pivot columns of `linalg.bareiss` on the coroots; the integer
+    adjugate and determinant of that n x n block; and C itself.
     """
 
     gcm: GCM
@@ -122,7 +124,7 @@ class RootDatum:
             self, "_hash", hash((self.gcm, self.rank_y, self.coroots, self.roots))
         )
         n = len(self.coroots)
-        _, rows = linalg.rref(self.coroots)
+        _, rows, _, _ = linalg.bareiss(self.coroots)
         if len(rows) < n:
             raise DependentCoroots()
         cmat = tuple(
@@ -293,7 +295,7 @@ def classify_components(datum: RootDatum) -> ComponentReport:
     return classify_gcm(datum.gcm)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
 def classify_gcm(gcm: GCM) -> ComponentReport:
     """The blocks of a GCM and their types.
 

@@ -29,9 +29,7 @@ Weyl-group multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import linalg
 from .errors import (
@@ -495,24 +493,16 @@ def parabolic_elements(datum: RootDatum, j: tuple[int, ...], cap: int = 100_000)
 def face_point(datum: RootDatum, j_zero, j_pos) -> Point:
     """An integer point u with alpha_i(u) = 0 on J_zero and > 0 on J_pos.
 
-    Solves the linear system exactly (free coordinates zero) and clears
-    denominators, so the output is deterministic.
+    Solves alpha_i(u) = 0 on J_zero and 1 on J_pos exactly (free
+    coordinates zero) and takes the least positive multiple of that
+    solution that is integral, so the output is deterministic.
     """
-    rows = []
-    rhs = []
-    for i in sorted(j_zero):
-        rows.append(datum.roots[i])
-        rhs.append(Fraction(0))
-    for i in sorted(j_pos):
-        rows.append(datum.roots[i])
-        rhs.append(Fraction(1))
-    sol = linalg.solve_exact(rows, rhs)
-    if sol is None:
+    zero, pos = sorted(j_zero), sorted(j_pos)
+    rows = [datum.roots[i] for i in zero + pos]
+    u = linalg.solve_exact(rows, [0] * len(zero) + [1] * len(pos))
+    if u is None:
         raise AssertionError("face system is always solvable for a free realization")
-    lcm = 1
-    for f in sol:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return tuple(int(f * lcm) for f in sol)
+    return u
 
 
 def _gcm_graph_path(gcm: GCM, sources, target: int) -> list[int] | None:

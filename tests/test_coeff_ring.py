@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmhecke.coeff_ring import LaurentPoly, build_param_ring, param_ring_for
+from kmhecke.coeff_ring import PARAM_RING_MEMO_SIZE, LaurentPoly, build_param_ring, param_ring_for
 from kmhecke.errors import OddExponent, ZeroSpecialization
 from kmhecke.root_system import build_realization, validate_gcm
 
@@ -105,3 +105,18 @@ def test_json_round_trip():
 
 def test_param_ring_cached(a2):
     assert param_ring_for(a2) is param_ring_for(a2)
+
+
+def test_param_ring_memo_is_bounded():
+    """Past its bound the memo evicts, and an evicted datum gets equal classes again."""
+    data = [
+        build_realization(validate_gcm([[2, -a], [-b, 2]]))
+        for a in range(1, 13)
+        for b in range(1, 13)
+    ]
+    assert len(data) > PARAM_RING_MEMO_SIZE + 8
+    first = [param_ring_for(d) for d in data[:8]]
+    for d in data[8:]:
+        param_ring_for(d)
+    assert param_ring_for.cache_info().currsize == PARAM_RING_MEMO_SIZE
+    assert [param_ring_for(d) for d in data[:8]] == first

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from kmhecke.completed import (
     bimodule_act,
     center_of_H_classify,
     center_test,
+    _reverse_window,
     compute_source_region,
     e_function_expand,
     mult_truncated,
@@ -22,8 +24,8 @@ from kmhecke.completed import (
 )
 from kmhecke.errors import InsufficientSource, NotDominant
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
-from kmhecke.root_system import build_realization, validate_gcm
-from kmhecke.weyl import element_from_word, identity, orbit_is_finite
+from kmhecke.root_system import build_realization, dominance_leq, validate_gcm
+from kmhecke.weyl import element_from_word, identity, left_descents, left_mul, orbit_is_finite
 
 C = (1, 1, 0)  # the central coroot direction of affine A1
 D = (0, 0, 1)  # the extra basis direction
@@ -121,8 +123,10 @@ class TestMultTruncated:
         left = TruncatedElement(
             a1, classes, Region.cone([(0,)], 0), {((0,), r): classes.one()}, cert
         )
-        with pytest.raises(InsufficientSource):
+        with pytest.raises(InsufficientSource) as refused:
             mult_truncated(left, geometric_series(a1, 6), Region.cone([(0,)], 0))
+        # the right factor as a whole, for the left Weyl part with windows
+        assert refused.value.needed == ("right", None, r)
 
     def test_central_commutation_on_target(self, a1):
         classes = param_ring_for(a1)
@@ -473,3 +477,83 @@ def test_source_region_suffices_for_the_certified_product(case):
     points = set(target.enumerate(datum))
     want = {k: p for k, p in mult_bl(wide_a, wide_b).terms.items() if k[0] in points}
     assert got.coeffs == want
+
+
+# --- a brute-force oracle for the reverse window ---
+
+def _elements_up_to(datum, length):
+    """Every Weyl element of length at most `length`."""
+    layer = [identity(datum)]
+    out = list(layer)
+    for _ in range(length):
+        layer = list({left_mul(i, x) for x in layer for i in range(datum.n)} - set(out))
+        layer = [y for y in layer if y.length <= length]
+        out += layer
+    return out
+
+
+def _reach_below(datum, u, mu, kappa):
+    """The points of R_u(mu) in [-2, 2]^rank_y reached along chains of
+    window segments whose every point lies below kappa in dominance order."""
+    memo = {}
+
+    def rec(v):
+        if v not in memo:
+            if not v.word:
+                memo[v] = {mu} if dominance_leq(datum, mu, kappa) else set()
+            else:
+                memo[v] = set()
+                for i in left_descents(v):
+                    co = datum.coroots[i]
+                    for x in rec(left_mul(i, v)):
+                        m = datum.pairing(i, x)
+                        ends = [tuple(a - h * c for a, c in zip(x, co)) for h in (0, m)]
+                        # the points below one kappa are convex, so both ends decide
+                        if not all(dominance_leq(datum, p, kappa) for p in ends):
+                            continue
+                        # the last segment only matters near [-2, 2]^rank_y
+                        if v == u and any(min(e) > 2 or max(e) < -2 for e in zip(*ends)):
+                            continue
+                        step = 1 if m >= 0 else -1
+                        memo[v].update(
+                            tuple(a - h * c for a, c in zip(x, co)) for h in range(0, m + step, step)
+                        )
+        return memo[v]
+
+    return {p for p in rec(u) if all(-2 <= a <= 2 for a in p)}
+
+
+@pytest.mark.parametrize(
+    "name, kappa, depth", [("a1", (2,), 12), ("a2", (1, 1), 12), ("aff", (0, 0, 1), 26)]
+)
+def test_reverse_window_matches_brute_force(request, name, kappa, depth):
+    """For words of length <= 3 and nu in [-2, 2]^rank_y, the mu that
+    `_reverse_window` returns and whose chain to nu stays below kappa are
+    exactly those found by enumerating mu = kappa - (a coroot sum with
+    coefficients <= depth); the equality also shows that the box is deep
+    enough.  The engine prunes by height only, so it may return more.
+    The source region of a target {nu} contains each such mu that the
+    certificate allows."""
+    datum = request.getfixturevalue(name)
+    box = [
+        tuple(k - sum(c * co[r] for c, co in zip(cs, datum.coroots)) for r, k in enumerate(kappa))
+        for cs in itertools.product(range(depth + 1), repeat=datum.n)
+    ]
+    cert_b = AFCertificate((kappa,), (identity(datum),), dominant=True)
+    for u in _elements_up_to(datum, 3):
+        reach = {mu: _reach_below(datum, u, mu, kappa) for mu in box}
+        sources = {}
+        for mu in box:
+            for nu in reach[mu]:
+                sources.setdefault(nu, set()).add(mu)
+        cert_a = AFCertificate((datum.zero(),), (u,))
+        for nu in itertools.product(range(-2, 3), repeat=datum.rank_y):
+            got = _reverse_window(datum, u, nu, (kappa,))
+            for mu in got - reach.keys():
+                reach[mu] = _reach_below(datum, u, mu, kappa)
+            want = sources.get(nu, set())
+            assert {mu for mu in got if nu in reach[mu]} == want
+            if want:
+                _, src_b = compute_source_region(datum, Region.explicit([nu]), cert_a, cert_b)
+                for mu in want:
+                    assert src_b.contains(datum, mu) or not cert_b.allows_y(datum, mu)

@@ -1,5 +1,7 @@
-from fractions import Fraction
+import itertools
+from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from kmhecke import linalg
@@ -72,16 +74,65 @@ def test_leading_minors_positive_matches_the_minors(rows):
     assert linalg.leading_minors_positive(rows) == all(d > 0 for d in minors)
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
+def _det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m)))
+
+
+def _minor_rank(rows):
+    """The largest k with a nonzero k x k minor."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in itertools.combinations(range(nrows), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if _det([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+_matrices = st.integers(1, 4).flatmap(
+    lambda nrows: st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
     )
 )
+_square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(_matrices)
 def test_kernel_vectors_annihilate(rows):
-    for v in linalg.kernel_basis(rows):
-        assert all(sum(Fraction(r) * x for r, x in zip(row, v)) == 0 for row in rows)
+    ker = linalg.kernel_basis_int(rows)
+    rank = _minor_rank(rows)
+    assert linalg.rank(rows) == rank
+    assert len(ker) == len(rows[0]) - rank
+    for v in ker:
+        assert linalg.mat_vec(tuple(map(tuple, rows)), v) == (0,) * len(rows)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
+    if ker:
+        assert _minor_rank(ker) == len(ker)
+
+
+@given(_square)
+def test_det_adjugate_matches_cofactors(rows):
+    n = len(rows)
+    det = _det(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            linalg.det_adjugate(rows)
+        return
+    # adj(A)[i][j] is the (j, i) cofactor
+    cofactor = lambda i, j: (-1) ** (i + j) * _det(
+        [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+    )
+    adj = tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
+    assert linalg.det_adjugate(rows) == (det, adj)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=5))

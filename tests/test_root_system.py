@@ -16,6 +16,7 @@ from kmhecke.errors import (
 )
 from kmhecke.root_system import (
     AFFINE,
+    CLASSIFY_MEMO_SIZE,
     FINITE,
     INDEFINITE,
     affine_delta,
@@ -330,6 +331,16 @@ class TestTrichotomyOracle:
         report = classify_gcm.__wrapped__(validate_gcm(matrix))
         assert time.perf_counter() - t0 < 2.0
         assert report.kinds == (kind,)
+
+
+def test_classify_memo_is_bounded():
+    """Past its bound the memo evicts, and an evicted GCM is classified the same again."""
+    gcms = [validate_gcm(m) for m in itertools.islice(_small_gcms(), CLASSIFY_MEMO_SIZE + 16)]
+    first = [classify_gcm(g) for g in gcms[:16]]
+    for g in gcms[16:]:
+        classify_gcm(g)
+    assert classify_gcm.cache_info().currsize == CLASSIFY_MEMO_SIZE
+    assert [classify_gcm(g) for g in gcms[:16]] == first
 
 
 class TestAlphaImageIndex:

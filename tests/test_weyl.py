@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kmhecke import root_system, weyl
 from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, PointLengthMismatch
@@ -294,6 +295,30 @@ def test_faithfulness_regression(aff):
         again = element_from_word(aff, w.word)
         assert again == w and again.word == w.word
         assert inverse(inverse(w)) == w
+
+
+@st.composite
+def _face_systems(draw):
+    """A default realization of a random GCM of rank 1-4, with disjoint J_zero, J_pos."""
+    n = draw(st.integers(1, 4))
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            m[i][j], m[j][i] = draw(st.integers(-4, -1)), draw(st.integers(-4, -1))
+    datum = root_system.build_realization(root_system.validate_gcm(m))
+    side = draw(st.lists(st.sampled_from(["zero", "pos", None]), min_size=n, max_size=n))
+    return datum, [i for i in range(n) if side[i] == "zero"], [i for i in range(n) if side[i] == "pos"]
+
+
+@given(_face_systems())
+def test_face_point_lies_on_the_face(case):
+    datum, j_zero, j_pos = case
+    u = face_point(datum, j_zero, j_pos)
+    if not j_zero and not j_pos:
+        return
+    assert len(u) == datum.rank_y
+    assert all(datum.pairing(i, u) == 0 for i in j_zero)
+    assert all(datum.pairing(i, u) > 0 for i in j_pos)
 
 
 class TestInfiniteOrbitWitness:
