@@ -44,6 +44,7 @@ _HALF = _BASE >> 1
 SUM_HALF = _HALF >> 1  # entries of vectors that are added to one another in packed form
 FACTOR_HALF = SUM_HALF >> 1  # exponents of the factors of a coefficient product
 PARAM_RING_MEMO_SIZE = 1 << 7  # root-datum entries of the `param_ring_for` memo
+MASKS_MEMO_SIZE = 1 << 6  # (length, half) entries of the `_masks` memo
 
 
 def pack(e, half: int = _HALF) -> int:
@@ -58,7 +59,7 @@ def pack(e, half: int = _HALF) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MASKS_MEMO_SIZE)
 def _masks(n: int, half: int) -> tuple[int, int, int]:
     """(offset, mask, want) testing packed n-vectors against -half .. half - 1.
 

@@ -15,7 +15,12 @@ Z^delta H_u Z^mu.  So `_basis_product_packed` memoizes H_u Z^mu once per
 u and pairing vector, one letter of u per entry, with its points stored
 as offsets from mu, and `mult_bl` adds lam + mu to them.  Each entry also
 keeps the box of every offset its chain reached, and `mult_bl` refuses a
-mu that the box carries out of the packed range.  `mult_bl` folds in H_v
+mu that the box carries out of the packed range.  An entry's many terms
+share few distinct coefficients, so from its second read `mult_bl` keeps
+them grouped by coefficient: it multiplies its factor by each shared
+coefficient once and adds that product at every key of the group.  The
+window of H_i Z^nu, whose coefficients alternate between two maps, is
+grouped the same way for the memo's own fills.  `mult_bl` folds in H_v
 once for each Weyl part v of its right factor, through the memo of
 H_t H_v.  `tests/test_bl_oracle.py` checks `mult_bl` against an
 independent model: on A1 with Y the coroot lattice, the
@@ -238,9 +243,11 @@ class BLElement:
 # polynomials, so it runs entirely in the packed form of `coeff_ring`.
 # Weyl elements are numbered by the store of `weyl`, so states are keyed,
 # like element stores, by single integers packed_point * ID_CAP + element
-# id.  The engine accumulates only into maps it has just created, inline
-# and without intermediate products; cached tables and element stores
-# share their maps and are never mutated.  The three tables are bounded,
+# id.  The engine accumulates only into maps it has just created, inline;
+# its one intermediate product is a factor times one distinct coefficient
+# (below).  Cached tables and element stores share their maps and never
+# mutate them; the one slot written after the fact is the grouped view of
+# an H_u Z^mu memo entry.  The three tables are bounded,
 # so a long-lived process keeps at most CACHE_SIZE entries in each; an
 # evicted entry is recomputed on demand.
 #
@@ -267,6 +274,26 @@ class BLElement:
 # is built, and so is a segment of `r_window`, which spans the same range.
 # A window refused inside the memo carries the box reached before it, so
 # that `mult_bl` refuses the points first, in the order of the chain.
+#
+# A memo entry is the list [state, lo, hi, reach, view].  Its terms share
+# few distinct coefficient maps (on the `bl_assoc` benchmark, 44,667 maps
+# held in the memo have 457 distinct values), so `view` holds the state
+# split by `_group_by_coefficient`: (coefficient, keys) groups for the
+# maps that several keys share, and the other terms as they are.
+# `_acc_grouped` multiplies a factor by each shared coefficient once and
+# adds the product at each of its keys; the other terms are accumulated
+# one by one, since grouping them would only add a pass.  `view` is None
+# until `mult_bl` first reads the entry, which accumulates term by term
+# and sets it to False; the second read builds the view from the entry
+# alone, by `frozenset` of each map's items, and every later read uses
+# it.  A group pays even for a factor of one term: the product is formed
+# once, and a key that the accumulator lacks gets a copy of it in one
+# step.  Entries that only feed longer words, or that `mult_bl` reads
+# once, are never grouped.  The view lives and is evicted with its entry;
+# no table spans entries.  The box check runs before any accumulation,
+# so refusals are the same on every read.  `_commute_packed` hands its
+# window over in the same form: its coefficients alternate between two
+# maps.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 WINDOW_CAP = 1 << 16  # terms of one commutation window
@@ -295,6 +322,57 @@ def _acc(acc: dict, terms, shift: int, p: dict):
                 t[e] = tget(e, 0) + c1 * c2
 
 
+def _acc_grouped(acc: dict, view, shift: int, p: dict):
+    """acc[key + shift] += p * q for every term of a view of `_group_by_coefficient`.
+
+    The single terms go through `_acc`.  For each (q, keys) group, p * q
+    is formed once and added at each key; a key that `acc` lacks gets a
+    copy of it.  Like `_acc`, this creates every map of `acc` it touches
+    first and only reads p and every q.
+    """
+    singles, groups = view
+    _acc(acc, singles, shift, p)
+    get = acc.get
+    pitems = p.items()
+    for q, keys in groups:
+        pq: dict = {}
+        pqget = pq.get
+        qitems = q.items()
+        for e1, c1 in pitems:
+            for e2, c2 in qitems:
+                e = e1 + e2
+                pq[e] = pqget(e, 0) + c1 * c2
+        pqitems = pq.items()
+        for key in keys:
+            k = key + shift
+            t = get(k)
+            if t is None:
+                acc[k] = pq.copy()
+            else:
+                tget = t.get
+                for e, c in pqitems:
+                    t[e] = tget(e, 0) + c
+
+
+def _group_by_coefficient(terms) -> tuple:
+    """(singles, groups) for the (key, coefficient) pairs `terms`.
+
+    `groups` holds one (coefficient, keys) pair for each coefficient that
+    two or more keys share, compared by value; `singles` holds the (key,
+    coefficient) pairs of the rest, which have nothing to share.
+    """
+    keys_of: dict = {}
+    for key, q in terms:
+        fq = frozenset(q.items())
+        if fq in keys_of:
+            keys_of[fq][1].append(key)
+        else:
+            keys_of[fq] = (q, [key])
+    singles = tuple((keys[0], q) for q, keys in keys_of.values() if len(keys) == 1)
+    groups = tuple((q, tuple(keys)) for q, keys in keys_of.values() if len(keys) > 1)
+    return singles, groups
+
+
 def _settle(acc: dict) -> dict:
     """Drop zero coefficients, then keys whose coefficient vanished."""
     out = {}
@@ -320,27 +398,28 @@ def _require_reach(mu: Point, lo, hi):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _commute_packed(datum: RootDatum, classes: ParamClasses, i: int, m: int):
-    """H_i * Z^nu for alpha_i(nu) = m, relative to nu: (reflection, window terms).
+    """H_i * Z^nu for alpha_i(nu) = m, relative to nu: (reflection, window).
 
     H_i Z^nu = Z^{r_i nu} H_i + window, with r_i nu = nu - m alpha_i^v.
     For m > 0 the window sits at nu - h alpha_i^v (0 <= h < m); for m < 0
     at nu + h alpha_i^v (1 <= h <= -m) with a global minus sign (the exact
     geometric expansion of the defining relation).  When sigma_i and
     sigma_i' differ the two coefficients alternate (the pairing is even).
-    Offsets from nu are packed and scaled by ID_CAP, so that they add to a
-    state key directly.
+    The window is given grouped by coefficient, for `_acc_grouped`.
+    Offsets from nu are packed and scaled by ID_CAP, so that they add to
+    a state key directly.
     """
     if abs(m) > WINDOW_CAP:
         raise BudgetExceeded(WINDOW_CAP, f"a commutation window of {abs(m)} terms")
     step = pack(datum.coroots[i]) * ID_CAP
     c_even, c_odd = classes.smi_packed(i), classes.smi_packed(i, primed=True)
     if m >= 0:
-        window = tuple((-h * step, c_odd if h % 2 else c_even) for h in range(m))
+        window = [(-h * step, c_odd if h % 2 else c_even) for h in range(m)]
     else:
         n_even = {e: -c for e, c in c_even.items()}
         n_odd = {e: -c for e, c in c_odd.items()}
-        window = tuple((h * step, n_odd if h % 2 else n_even) for h in range(1, 1 - m))
-    return -m * step, window
+        window = [(h * step, n_odd if h % 2 else n_even) for h in range(1, 1 - m)]
+    return -m * step, _group_by_coefficient(window)
 
 
 def commute_Hi_past_Z(
@@ -355,7 +434,9 @@ def commute_Hi_past_Z(
     prnu = pack(linalg.vec_sub(nu, linalg.vec_scale(m, datum.coroots[i])), SUM_HALF)
     packed = {prnu * ID_CAP + rid: classes.one_packed}
     base = pnu * ID_CAP
-    packed.update((base + off, coeff) for off, coeff in window)
+    singles, groups = window
+    packed.update((base + off, coeff) for off, coeff in singles)
+    packed.update((base + off, coeff) for coeff, offs in groups for off in offs)
     return BLElement.from_packed(datum, classes, packed)
 
 
@@ -384,12 +465,14 @@ def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: in
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pairs: tuple):
-    """H_u * Z^mu for every mu with alpha_j(mu) = pairs[j], as (state, lo, hi, reach).
+    """H_u * Z^mu for every mu with alpha_j(mu) = pairs[j], as [state, lo, hi, reach, view].
 
     `state` maps pack(offset) * ID_CAP + element id t to a coefficient c:
     H_u Z^mu is the sum of c Z^{mu + offset} H_t.  `lo` and `hi` bound,
     coordinate by coordinate, every offset the chain reached, 0 included,
-    and `reach` is the largest of their absolute values.
+    and `reach` is the largest of their absolute values.  `view` is None
+    here; `mult_bl` replaces it with the grouped view of `state` (see the
+    comment above `CACHE_SIZE`).
 
     With i the first letter of u's canonical word, r_i u has the rest of
     the word, so an entry is one H_i step on the entry for r_i u:
@@ -407,14 +490,14 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
     rank = datum.rank_y
     if not word:
         zero = (0,) * rank
-        return {0: classes.one_packed}, zero, zero, 0
+        return [{0: classes.one_packed}, zero, zero, 0, None]
     if len(word) > _FILL_STRIDE:
         v = u
         for i in word[: (len(word) - 1) % _FILL_STRIDE + 1]:
             v = left_mul(i, v)
         _basis_product_packed(datum, classes, v.id, pairs)
     i = word[0]
-    state, lo, hi, _ = _basis_product_packed(datum, classes, left_mul(i, u).id, pairs)
+    state, lo, hi, _, _ = _basis_product_packed(datum, classes, left_mul(i, u).id, pairs)
     lo, hi = list(lo), list(hi)
     one, smi = classes.one_packed, classes.smi_packed(i)
     root, co, m0 = datum.roots[i], datum.coroots[i], pairs[i]
@@ -436,14 +519,14 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
             elif y > hi[k]:
                 hi[k] = y
         _acc(nxt, _h_times_basis_packed(i, elems[tid], one, smi), base + refl, c)
-        _acc(nxt, window, base + tid, c)
+        _acc_grouped(nxt, window, base + tid, c)
     for l, h in zip(lo, hi):
         if h - l >= 2 * SUM_HALF:
             raise CoordinateOutOfRange(
                 f"a commutation chain spans {h - l} in one coordinate; "
                 f"no point keeps it within {-SUM_HALF}..{SUM_HALF - 1}"
             )
-    return _settle(nxt), tuple(lo), tuple(hi), max(-min(lo), max(hi))
+    return [_settle(nxt), tuple(lo), tuple(hi), max(-min(lo), max(hi)), None]
 
 
 def mult_bl(a: BLElement, b: BLElement) -> BLElement:
@@ -454,6 +537,8 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     group are accumulated from the memo of H_u Z^mu, shifted by lam + mu,
     settled, and H_v is folded in once through `_h_times_h_packed`.  The
     group v = e needs no fold and accumulates into the result directly.
+    From the second read of a memo entry on, its terms are accumulated
+    by distinct coefficient, through `_acc_grouped`.
     """
     a._compat(b)
     datum, classes = a.datum, a.classes
@@ -479,14 +564,22 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
             lam = key_a - uid
             for pmu, mu, pairs, slack, pb in group:
                 try:
-                    state, lo, hi, reach = _basis_product_packed(datum, classes, uid, pairs)
+                    entry = _basis_product_packed(datum, classes, uid, pairs)
                 except BudgetExceeded as exc:
                     if hasattr(exc, "reached"):
                         _require_reach(mu, *exc.reached)
                     raise
+                state, lo, hi, reach, view = entry
                 if reach > slack:
                     _require_reach(mu, lo, hi)
-                _acc(acc, state.items(), lam + pmu * ID_CAP, mul(pa, pb))
+                shift, p = lam + pmu * ID_CAP, mul(pa, pb)
+                if view is None:  # the first read goes term by term; the second groups
+                    entry[4] = False
+                    _acc(acc, state.items(), shift, p)
+                else:
+                    if view is False:
+                        view = entry[4] = _group_by_coefficient(state.items())
+                    _acc_grouped(acc, view, shift, p)
         if vid:
             for key, c in _settle(acc).items():
                 tid = key % ID_CAP

@@ -239,6 +239,112 @@ def test_acc_of_one_term_matches_the_reference(p, terms, existing, shift):
     assert ref_settle(acc) == ref_settle(want)
 
 
+# --- the grouped view of a memo entry ----------------------------------------
+#
+# `mult_bl` accumulates a memo entry term by term on its first read.  The
+# second read groups the entry's terms by equal coefficient, and from then on
+# each shared coefficient is multiplied by the factor once and the product
+# added at every key of its group.
+
+
+@pytest.mark.parametrize("name", ("a1", "a2", "aff"))
+def test_repeated_reads_of_one_entry_match_the_previous_kernel(request, name):
+    """a's terms share u and b's terms share mu, so one product reads the entry of
+    (u, pairings of mu) once per pair of terms: four to nine times, from an empty memo."""
+    datum = request.getfixturevalue(name)
+    classes = param_ring_for(datum)
+    n = classes.nclasses
+    point = st.tuples(*(st.integers(-2, 2) for _ in range(datum.rank_y)))
+
+    exps = st.tuples(*(st.integers(-2, 2) for _ in range(n)))
+    coeff = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=2).map(
+        lambda d: LaurentPoly(n, d)
+    )
+
+    elems = st.lists(_words(datum), min_size=2, max_size=3).map(
+        lambda ws: list({element_from_word(datum, w): None for w in ws})
+    ).filter(lambda vs: len(vs) >= 2)
+
+    @given(_words(datum), st.lists(point, min_size=2, max_size=3, unique=True), point, elems,
+           st.lists(coeff, min_size=3, max_size=3), st.lists(coeff, min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def check(u, lams, mu, vs, ca, cb):
+        w = element_from_word(datum, u)
+        a = BLElement(datum, classes, {(lam, w): c for lam, c in zip(lams, ca)})
+        b = BLElement(datum, classes, {(mu, v): c for v, c in zip(vs, cb)})
+        want = ref_mult_bl(a, b)
+        hecke_bl._basis_product_packed.cache_clear()
+        for _ in range(3):  # flat, grouping, grouped, and grouped again from the second call on
+            assert mult_bl(a, b) == want
+
+    check()
+
+
+def test_grouped_contributions_cancel(aff):
+    """C = (1, 1, 0) is central on affine A1.  With X = H_u Z^mu and f = sigma_1 + 1,
+    (Z^C H_u - H_u)(f Z^mu + f Z^(mu + C)) = f^2 (Z^2C X - X): the two f^2 Z^C X parts,
+    both read from the entry of X, cancel at every key, on the flat read and on grouped ones."""
+    classes = param_ring_for(aff)
+    f = classes.sigma(0) + classes.one()
+    u = element_from_word(aff, (0, 1))
+    mu, c = (2, -1, 0), (1, 1, 0)
+    e = element_from_word(aff, ())
+    a = BLElement(aff, classes, {(c, u): f, ((0, 0, 0), u): -f})
+    b = BLElement(aff, classes, {(mu, e): f, (linalg.vec_add(mu, c), e): f})
+    x = mult_bl(BLElement.basis(aff, classes, (0, 0, 0), u), BLElement.z_monomial(aff, classes, mu))
+    want = (mult_bl(BLElement.z_monomial(aff, classes, linalg.vec_scale(2, c)), x) - x).scale(f * f)
+    hecke_bl._basis_product_packed.cache_clear()
+    for _ in range(3):
+        assert mult_bl(a, b) == want == ref_mult_bl(a, b)
+
+
+def test_every_key_of_a_group_gets_its_product(a1):
+    """H_1 Z^mu with alpha_1(mu) = 4 has a window of four terms whose coefficients
+    alternate between two maps, so its entry groups two keys under each of them.
+    Adding a group's product at its first key only would lose half the window."""
+    classes = param_ring_for(a1)
+    mu = next((x,) for x in range(1, 10) if a1.pairing(0, (x,)) == 4)
+    f = classes.sigma(0) + classes.one()
+    h = BLElement.basis(a1, classes, (0,), element_from_word(a1, (0,)), f)
+    z = BLElement.basis(a1, classes, mu, element_from_word(a1, ()), f)
+    want = ref_mult_bl(h, z)
+    assert len(want.packed) == 5
+    hecke_bl._basis_product_packed.cache_clear()
+    for _ in range(3):
+        assert mult_bl(h, z) == want
+    entry = hecke_bl._basis_product_packed(a1, classes, h.support_w().pop().id, (4,))
+    state, (singles, groups) = entry[0], entry[4]
+    assert len(singles) == 1 and [len(keys) for _, keys in groups] == [2, 2]
+    assert dict(singles) | {k: q for q, keys in groups for k in keys} == state
+
+
+def test_evicted_grouped_entry_is_rebuilt(a2):
+    """An entry grouped by three reads, evicted by an overfill and rebuilt, starts
+    over flat and gives the same products on every read."""
+    memo = hecke_bl._basis_product_packed
+    classes = param_ring_for(a2)
+    f = classes.sigma(0) - classes.const(2)
+    h = BLElement.basis(a2, classes, (0, 0), element_from_word(a2, (0, 1, 0)), f)
+    z = BLElement.basis(a2, classes, (3, -1), element_from_word(a2, (1,)), f)
+    want = ref_mult_bl(h, z)
+    uid, pairs = h.support_w().pop().id, (7, -5)
+    memo.cache_clear()
+    for _ in range(3):
+        assert mult_bl(h, z) == want
+    assert isinstance(memo(a2, classes, uid, pairs)[4], tuple)
+
+    for k in range(CACHE_SIZE + 1):
+        memo(a2, classes, 0, (k, 100))
+    assert memo.cache_info().currsize <= CACHE_SIZE
+    misses = memo.cache_info().misses
+    views = []
+    for _ in range(3):
+        assert mult_bl(h, z) == want
+        views.append(memo(a2, classes, uid, pairs)[4])
+    assert memo.cache_info().misses > misses  # the entry was rebuilt
+    assert views[0] is False and isinstance(views[1], tuple) and views[2] is views[1]
+
+
 # --- bounded tables ----------------------------------------------------------
 
 

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kmhecke
+from kmhecke import hecke_bl
 from kmhecke.cli import build_parser, main
+from kmhecke.coeff_ring import param_ring_for
+from kmhecke.root_system import datum_from_json
+from kmhecke.weyl import simple_reflection
 
 
 @pytest.fixture()
@@ -547,6 +551,40 @@ def test_chain_reaching_the_high_edge_answered_and_one_past_refused(capsys, tmp_
                            " + Z^(4194303,1)·H_1\n", "")
     assert refused[0] == 2 and refused[1] == ""
     assert refused[2].startswith("CoordinateOutOfRange: ") and "4194304" in refused[2]
+
+
+def test_chain_wider_than_the_range_refused_by_its_span(capsys, tmp_path):
+    """H_1 Z^mu with alpha_1(mu) = 4 reflects mu by -4 alpha_1^v = (-8388608, -4).  The chain spans
+    2^23 in the first coordinate, one more than -2^22 .. 2^22 - 1 holds, so the memo refuses it
+    for every mu and names the span."""
+    datum = {"gcm": [[2]], "rank_y": 2, "coroots": [[2097152, 1]], "roots": [[0, 2]]}
+    (refused,) = _mul_points(capsys, tmp_path, datum, [0], [[0, 2]])
+    assert refused == (2, "", "CoordinateOutOfRange: a commutation chain spans 8388608 in one coordinate; "
+                              "no point keeps it within -4194304..4194303\n")
+
+
+def test_refusals_repeat_on_a_grouped_entry(capsys, tmp_path):
+    """The two cases above, three times in one process.  mu = (-3, -1) and (-2, -1) pair alike,
+    so `mult_bl` reads one memo entry for both: flat on the first run, grouped on the second and
+    third.  The box check still refuses (-2, -1) first, with the same message every time, and the
+    window refused inside the memo names the same point on every run."""
+    edge = {"gcm": [[2]], "rank_y": 2, "coroots": [[2097153, 1]], "roots": [[0, 2]]}
+    window = {"gcm": [[2, -2], [-2, 2]], "rank_y": 4, "coroots": [[1, 0, 0, 128], [0, 1, 0, 0]],
+              "roots": [[2, -2, 1, 0], [-2, 2, 1, 0]]}
+    hecke_bl._basis_product_packed.cache_clear()
+    edges = [_mul_points(capsys, tmp_path, edge, [0], [[-3, -1], [-2, -1]]) for _ in range(3)]
+    datum = datum_from_json(edge)
+    entry = hecke_bl._basis_product_packed(datum, param_ring_for(datum), simple_reflection(datum, 0).id, (-2,))
+    assert isinstance(entry[4], tuple)  # the grouped view
+    windows = [
+        _mul_points(capsys, tmp_path, window, [1, 0], [[8192, 0, 16385, 0], [8192, 0, 16385, 2097152]])
+        for _ in range(3)
+    ]
+    assert edges[0] == edges[1] == edges[2] and windows[0] == windows[1] == windows[2]
+    (answered, refused), (point, budget) = edges[0], windows[0]
+    assert answered[0] == 0 and refused[0] == 2 and point[0] == 2 and budget[0] == 3
+    assert refused[2].startswith("CoordinateOutOfRange: ") and "4194304" in refused[2]
+    assert point[2].startswith("CoordinateOutOfRange: ") and "65539 terms" in budget[2]
 
 
 def test_exponent_sums_that_would_carry_refused(capsys, tmp_path):

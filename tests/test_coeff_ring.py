@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmhecke.coeff_ring import PARAM_RING_MEMO_SIZE, LaurentPoly, build_param_ring, param_ring_for
-from kmhecke.errors import OddExponent, ZeroSpecialization
+from kmhecke import coeff_ring
+from kmhecke.coeff_ring import MASKS_MEMO_SIZE, PARAM_RING_MEMO_SIZE, SUM_HALF, LaurentPoly, pack
+from kmhecke.coeff_ring import build_param_ring, param_ring_for, require_summable
+from kmhecke.errors import CoordinateOutOfRange, OddExponent, ZeroSpecialization
 from kmhecke.root_system import build_realization, validate_gcm
 
 
@@ -120,3 +122,16 @@ def test_param_ring_memo_is_bounded():
         param_ring_for(d)
     assert param_ring_for.cache_info().currsize == PARAM_RING_MEMO_SIZE
     assert [param_ring_for(d) for d in data[:8]] == first
+
+
+def test_masks_memo_is_bounded():
+    """Vector lengths past the bound evict the earliest, which are rebuilt equal and still refuse."""
+    masks = coeff_ring._masks
+    assert masks.cache_parameters()["maxsize"] == MASKS_MEMO_SIZE
+    first = [masks(n, SUM_HALF) for n in range(1, 5)]
+    for n in range(5, MASKS_MEMO_SIZE + 9):
+        require_summable(pack((SUM_HALF - 1,) * n), n)
+    assert masks.cache_info().currsize == MASKS_MEMO_SIZE
+    assert [masks(n, SUM_HALF) for n in range(1, 5)] == first
+    with pytest.raises(CoordinateOutOfRange):
+        require_summable(pack((0, SUM_HALF, 0)), 3)

@@ -113,6 +113,16 @@ class TestWindowBudget:
         with pytest.raises(BudgetExceeded):  # 4194304 points, refused before any is built
             r_window(odd, r1, (4194303,))
 
+    def test_r_window_recursion_budget_is_exact(self, a2, monkeypatch):
+        """R_{w0}(1, 1) on A2 recurses through both descents of w0 = s1 s2 s1; the second branch
+        starts with three elements already visited, so a budget of 3 refuses it and 4 does not."""
+        w0 = element_from_word(a2, [0, 1, 0])
+        monkeypatch.setattr(hecke_bl, "R_WINDOW_CAP", 4)
+        assert len(r_window(a2, w0, (1, 1))) == 7
+        monkeypatch.setattr(hecke_bl, "R_WINDOW_CAP", 3)
+        with pytest.raises(BudgetExceeded):
+            r_window(a2, w0, (1, 1))
+
 
 class TestRWindow:
     def test_single_reflection(self, a2):
