@@ -16,8 +16,8 @@ u and pairing vector, one letter of u per entry, with its points stored
 as offsets from mu, and `mult_bl` adds lam + mu to them.  Each entry also
 keeps the box of every offset its chain reached, and `mult_bl` refuses a
 mu that the box carries out of the packed range.  An entry's many terms
-share few distinct coefficients, so from its second read `mult_bl` keeps
-them grouped by coefficient: it multiplies its factor by each shared
+share few distinct coefficients, so each entry also keeps them grouped by
+coefficient, and `mult_bl` multiplies its factor by each shared
 coefficient once and adds that product at every key of the group.  The
 window of H_i Z^nu, whose coefficients alternate between two maps, is
 grouped the same way for the memo's own fills.  `mult_bl` folds in H_v
@@ -246,10 +246,9 @@ class BLElement:
 # id.  The engine accumulates only into maps it has just created, inline;
 # its one intermediate product is a factor times one distinct coefficient
 # (below).  Cached tables and element stores share their maps and never
-# mutate them; the one slot written after the fact is the grouped view of
-# an H_u Z^mu memo entry.  The three tables are bounded,
-# so a long-lived process keeps at most CACHE_SIZE entries in each; an
-# evicted entry is recomputed on demand.
+# mutate them.  The three tables are bounded, so a long-lived process
+# keeps at most CACHE_SIZE entries in each; an evicted entry is
+# recomputed on demand.
 #
 # The Bernstein relation sees a point only through its pairings: H_i Z^nu
 # depends on m = alpha_i(nu), and moves nu by -m alpha_i^v and along the
@@ -275,25 +274,30 @@ class BLElement:
 # A window refused inside the memo carries the box reached before it, so
 # that `mult_bl` refuses the points first, in the order of the chain.
 #
-# A memo entry is the list [state, lo, hi, reach, view].  Its terms share
+# A memo entry is the tuple (state, lo, hi, reach, view).  Its terms share
 # few distinct coefficient maps (on the `bl_assoc` benchmark, 44,667 maps
 # held in the memo have 457 distinct values), so `view` holds the state
 # split by `_group_by_coefficient`: (coefficient, keys) groups for the
-# maps that several keys share, and the other terms as they are.
+# maps that several keys share, and the other terms as they are.  The
+# fill builds it from the entry alone, by `frozenset` of each map's
+# items.  `mult_bl` reads an entry only through its view:
 # `_acc_grouped` multiplies a factor by each shared coefficient once and
 # adds the product at each of its keys; the other terms are accumulated
-# one by one, since grouping them would only add a pass.  `view` is None
-# until `mult_bl` first reads the entry, which accumulates term by term
-# and sets it to False; the second read builds the view from the entry
-# alone, by `frozenset` of each map's items, and every later read uses
-# it.  A group pays even for a factor of one term: the product is formed
+# one by one, since grouping them would only add a pass.  On `bl_assoc`
+# a group pays even for a factor of one term: the product is formed
 # once, and a key that the accumulator lacks gets a copy of it in one
-# step.  Entries that only feed longer words, or that `mult_bl` reads
-# once, are never grouped.  The view lives and is evicted with its entry;
-# no table spans entries.  The box check runs before any accumulation,
-# so refusals are the same on every read.  `_commute_packed` hands its
-# window over in the same form: its coefficients alternate between two
-# maps.
+# step.  On `parahoric_cli`, whose factors are all one term and whose
+# keys are mostly in the accumulator already, grouped reads measured
+# slower (op_tail_ms about 1.04x; ROADMAP item 9).  Building the
+# view at fill time also groups the entries that only feed longer words
+# (15 % of the fills of a `bl_assoc` round, 3 % on `completion`, none on
+# `parahoric_cli`) and those `mult_bl` reads once (21 % of the entries it
+# reads on `bl_assoc`, none on the other two); delaying the view to a
+# later read measured no faster.  The view lives and is evicted with its
+# entry; no table spans entries.  The box check runs before any
+# accumulation, so refusals are the same on every read.
+# `_commute_packed` hands its window over in the same form: its
+# coefficients alternate between two maps.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 WINDOW_CAP = 1 << 16  # terms of one commutation window
@@ -465,14 +469,14 @@ def _h_times_h_packed(datum: RootDatum, classes: ParamClasses, tid: int, vid: in
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pairs: tuple):
-    """H_u * Z^mu for every mu with alpha_j(mu) = pairs[j], as [state, lo, hi, reach, view].
+    """H_u * Z^mu for every mu with alpha_j(mu) = pairs[j], as (state, lo, hi, reach, view).
 
     `state` maps pack(offset) * ID_CAP + element id t to a coefficient c:
     H_u Z^mu is the sum of c Z^{mu + offset} H_t.  `lo` and `hi` bound,
     coordinate by coordinate, every offset the chain reached, 0 included,
-    and `reach` is the largest of their absolute values.  `view` is None
-    here; `mult_bl` replaces it with the grouped view of `state` (see the
-    comment above `CACHE_SIZE`).
+    and `reach` is the largest of their absolute values.  `view` is
+    `state` grouped by `_group_by_coefficient` (see the comment above
+    `CACHE_SIZE`).
 
     With i the first letter of u's canonical word, r_i u has the rest of
     the word, so an entry is one H_i step on the entry for r_i u:
@@ -490,7 +494,8 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
     rank = datum.rank_y
     if not word:
         zero = (0,) * rank
-        return [{0: classes.one_packed}, zero, zero, 0, None]
+        state = {0: classes.one_packed}
+        return state, zero, zero, 0, _group_by_coefficient(state.items())
     if len(word) > _FILL_STRIDE:
         v = u
         for i in word[: (len(word) - 1) % _FILL_STRIDE + 1]:
@@ -526,7 +531,9 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
                 f"a commutation chain spans {h - l} in one coordinate; "
                 f"no point keeps it within {-SUM_HALF}..{SUM_HALF - 1}"
             )
-    return [_settle(nxt), tuple(lo), tuple(hi), max(-min(lo), max(hi)), None]
+    state = _settle(nxt)
+    view = _group_by_coefficient(state.items())
+    return state, tuple(lo), tuple(hi), max(-min(lo), max(hi)), view
 
 
 def mult_bl(a: BLElement, b: BLElement) -> BLElement:
@@ -537,8 +544,8 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     group are accumulated from the memo of H_u Z^mu, shifted by lam + mu,
     settled, and H_v is folded in once through `_h_times_h_packed`.  The
     group v = e needs no fold and accumulates into the result directly.
-    From the second read of a memo entry on, its terms are accumulated
-    by distinct coefficient, through `_acc_grouped`.
+    A memo entry's terms are accumulated by distinct coefficient, through
+    its grouped view and `_acc_grouped`.
     """
     a._compat(b)
     datum, classes = a.datum, a.classes
@@ -569,17 +576,10 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
                     if hasattr(exc, "reached"):
                         _require_reach(mu, *exc.reached)
                     raise
-                state, lo, hi, reach, view = entry
+                _, lo, hi, reach, view = entry
                 if reach > slack:
                     _require_reach(mu, lo, hi)
-                shift, p = lam + pmu * ID_CAP, mul(pa, pb)
-                if view is None:  # the first read goes term by term; the second groups
-                    entry[4] = False
-                    _acc(acc, state.items(), shift, p)
-                else:
-                    if view is False:
-                        view = entry[4] = _group_by_coefficient(state.items())
-                    _acc_grouped(acc, view, shift, p)
+                _acc_grouped(acc, view, lam + pmu * ID_CAP, mul(pa, pb))
         if vid:
             for key, c in _settle(acc).items():
                 tid = key % ID_CAP

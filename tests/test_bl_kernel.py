@@ -241,10 +241,9 @@ def test_acc_of_one_term_matches_the_reference(p, terms, existing, shift):
 
 # --- the grouped view of a memo entry ----------------------------------------
 #
-# `mult_bl` accumulates a memo entry term by term on its first read.  The
-# second read groups the entry's terms by equal coefficient, and from then on
-# each shared coefficient is multiplied by the factor once and the product
-# added at every key of its group.
+# A memo entry carries its terms grouped by equal coefficient, built when the
+# entry is filled.  On every read `mult_bl` multiplies each shared coefficient
+# by the factor once and adds the product at every key of its group.
 
 
 @pytest.mark.parametrize("name", ("a1", "a2", "aff"))
@@ -274,7 +273,7 @@ def test_repeated_reads_of_one_entry_match_the_previous_kernel(request, name):
         b = BLElement(datum, classes, {(mu, v): c for v, c in zip(vs, cb)})
         want = ref_mult_bl(a, b)
         hecke_bl._basis_product_packed.cache_clear()
-        for _ in range(3):  # flat, grouping, grouped, and grouped again from the second call on
+        for _ in range(3):  # a cold memo, then the entry as the first call left it
             assert mult_bl(a, b) == want
 
     check()
@@ -283,7 +282,7 @@ def test_repeated_reads_of_one_entry_match_the_previous_kernel(request, name):
 def test_grouped_contributions_cancel(aff):
     """C = (1, 1, 0) is central on affine A1.  With X = H_u Z^mu and f = sigma_1 + 1,
     (Z^C H_u - H_u)(f Z^mu + f Z^(mu + C)) = f^2 (Z^2C X - X): the two f^2 Z^C X parts,
-    both read from the entry of X, cancel at every key, on the flat read and on grouped ones."""
+    both read from the entry of X, cancel at every key, on a cold memo and on later reads."""
     classes = param_ring_for(aff)
     f = classes.sigma(0) + classes.one()
     u = element_from_word(aff, (0, 1))
@@ -319,8 +318,8 @@ def test_every_key_of_a_group_gets_its_product(a1):
 
 
 def test_evicted_grouped_entry_is_rebuilt(a2):
-    """An entry grouped by three reads, evicted by an overfill and rebuilt, starts
-    over flat and gives the same products on every read."""
+    """An entry read three times, evicted by an overfill and rebuilt, is a new
+    entry with an equal grouped view and gives the same products on every read."""
     memo = hecke_bl._basis_product_packed
     classes = param_ring_for(a2)
     f = classes.sigma(0) - classes.const(2)
@@ -331,18 +330,17 @@ def test_evicted_grouped_entry_is_rebuilt(a2):
     memo.cache_clear()
     for _ in range(3):
         assert mult_bl(h, z) == want
-    assert isinstance(memo(a2, classes, uid, pairs)[4], tuple)
+    first = memo(a2, classes, uid, pairs)
 
     for k in range(CACHE_SIZE + 1):
         memo(a2, classes, 0, (k, 100))
     assert memo.cache_info().currsize <= CACHE_SIZE
     misses = memo.cache_info().misses
-    views = []
     for _ in range(3):
         assert mult_bl(h, z) == want
-        views.append(memo(a2, classes, uid, pairs)[4])
+    rebuilt = memo(a2, classes, uid, pairs)
     assert memo.cache_info().misses > misses  # the entry was rebuilt
-    assert views[0] is False and isinstance(views[1], tuple) and views[2] is views[1]
+    assert rebuilt is not first and rebuilt == first
 
 
 # --- bounded tables ----------------------------------------------------------

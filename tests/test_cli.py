@@ -565,9 +565,10 @@ def test_chain_wider_than_the_range_refused_by_its_span(capsys, tmp_path):
 
 def test_refusals_repeat_on_a_grouped_entry(capsys, tmp_path):
     """The two cases above, three times in one process.  mu = (-3, -1) and (-2, -1) pair alike,
-    so `mult_bl` reads one memo entry for both: flat on the first run, grouped on the second and
-    third.  The box check still refuses (-2, -1) first, with the same message every time, and the
-    window refused inside the memo names the same point on every run."""
+    so `mult_bl` reads one memo entry for both: filled on the first run, read as it was left on the
+    second and third.  The box check still refuses (-2, -1) before any grouped accumulation, with
+    the same message every time, and the window refused inside the memo names the same point on
+    every run."""
     edge = {"gcm": [[2]], "rank_y": 2, "coroots": [[2097153, 1]], "roots": [[0, 2]]}
     window = {"gcm": [[2, -2], [-2, 2]], "rank_y": 4, "coroots": [[1, 0, 0, 128], [0, 1, 0, 0]],
               "roots": [[2, -2, 1, 0], [-2, 2, 1, 0]]}
