@@ -21,8 +21,10 @@ coefficient, and `mult_bl` multiplies its factor by each shared
 coefficient once and adds that product at every key of the group.  The
 window of H_i Z^nu, whose coefficients alternate between two maps, is
 grouped the same way for the memo's own fills.  `mult_bl` folds in H_v
-once for each Weyl part v of its right factor, through the memo of
-H_t H_v.  `tests/test_bl_oracle.py` checks `mult_bl` against an
+once for each Weyl part v of its right factor, reading the memo of
+H_t H_v once per Weyl part t of the terms it folds; its coefficient-1
+term moves their coefficients unmultiplied.  A memo fill reads H_i H_t
+once per t too.  `tests/test_bl_oracle.py` checks `mult_bl` against an
 independent model: on A1 with Y the coroot lattice, the
 Iwahori-Matsumoto Hecke algebra of the affine Weyl group of type A1,
 computed from alternating words and the quadratic relation alone.
@@ -298,6 +300,13 @@ class BLElement:
 # accumulation, so refusals are the same on every read.
 # `_commute_packed` hands its window over in the same form: its
 # coefficients alternate between two maps.
+#
+# The fold of H_v works per Weyl part: on a `bl_assoc` round its 54,466
+# keys have 2,050 distinct parts t, so `mult_bl` buckets them by t and
+# `_fold` applies H_t H_v to a whole bucket.  A memo fill keeps its key
+# order instead, since that order decides which refusal of a chain is met
+# first; it reads H_i H_t once per t, and copies the maps it re-keys,
+# which belong to the entry before.
 
 CACHE_SIZE = 1 << 15  # entries of each product table
 WINDOW_CAP = 1 << 16  # terms of one commutation window
@@ -375,6 +384,35 @@ def _group_by_coefficient(terms) -> tuple:
     singles = tuple((keys[0], q) for q, keys in keys_of.values() if len(keys) == 1)
     groups = tuple((q, tuple(keys)) for q, keys in keys_of.values() if len(keys) > 1)
     return singles, groups
+
+
+def _fold(acc: dict, terms: list, prods, one: dict):
+    """acc[key + w] += q * h for every (key, q) of `terms` and (w, h) of `prods`.
+
+    A pair whose h equals `one` adds each q unmultiplied: a copy of q at a
+    key that `acc` lacks, an addition otherwise.  The maps q are the
+    caller's and are read here for the last time, so the last such pair,
+    run after every other read of them, takes them over without a copy.
+    """
+    units = []
+    for w, h in prods:
+        if h == one:
+            units.append(w)
+        else:
+            _acc(acc, terms, w, h)
+    get = acc.get
+    while units:
+        w = units.pop()
+        last = not units
+        for key, q in terms:
+            k = key + w
+            t = get(k)
+            if t is None:
+                acc[k] = q if last else q.copy()
+            else:
+                tget = t.get
+                for e, c in q.items():
+                    t[e] = tget(e, 0) + c
 
 
 def _settle(acc: dict) -> dict:
@@ -507,6 +545,8 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
     one, smi = classes.one_packed, classes.smi_packed(i)
     root, co, m0 = datum.roots[i], datum.coroots[i], pairs[i]
     nxt: dict[int, dict] = {}
+    nget = nxt.get
+    h_of: dict = {}  # Weyl part t -> H_i H_t
     for key, c in state.items():
         tid = key % ID_CAP
         base = key - tid
@@ -523,7 +563,20 @@ def _basis_product_packed(datum: RootDatum, classes: ParamClasses, uid: int, pai
                 lo[k] = y
             elif y > hi[k]:
                 hi[k] = y
-        _acc(nxt, _h_times_basis_packed(i, elems[tid], one, smi), base + refl, c)
+        ht = h_of.get(tid)
+        if ht is None:
+            ht = h_of[tid] = _h_times_basis_packed(i, elems[tid], one, smi)
+        if len(ht) == 1:  # H_i H_t = H_{r_i t}: c moves unmultiplied, and the entry keeps its map
+            k = base + refl + ht[0][0]
+            t = nget(k)
+            if t is None:
+                nxt[k] = c.copy()
+            else:
+                tget = t.get
+                for e, x in c.items():
+                    t[e] = tget(e, 0) + x
+        else:
+            _acc(nxt, ht, base + refl, c)
         _acc_grouped(nxt, window, base + tid, c)
     for l, h in zip(lo, hi):
         if h - l >= 2 * SUM_HALF:
@@ -542,21 +595,22 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
     b's terms are grouped by their Weyl part v.  For each group the
     products Z^lam (H_u Z^mu) of every term of a with every term of the
     group are accumulated from the memo of H_u Z^mu, shifted by lam + mu,
-    settled, and H_v is folded in once through `_h_times_h_packed`.  The
-    group v = e needs no fold and accumulates into the result directly.
-    A memo entry's terms are accumulated by distinct coefficient, through
+    settled, and H_v is folded in through `_fold`, one bucket of keys
+    per Weyl part t and one lookup of H_t H_v per bucket.  The group
+    v = e needs no fold and accumulates into the result directly.  A
+    memo entry's terms are accumulated by distinct coefficient, through
     its grouped view and `_acc_grouped`.
     """
     a._compat(b)
     datum, classes = a.datum, a.classes
-    rank = datum.rank_y
+    rank, one = datum.rank_y, classes.one_packed
     for shift in {k // ID_CAP for k in a.packed}:
         require_summable(shift, rank)
     require_factors((*a.packed.values(), *b.packed.values()), classes.nclasses)
     groups = defaultdict(list)
     for key_b, pb in b.packed.items():
         vid = key_b % ID_CAP
-        pmu = (key_b - vid) // ID_CAP
+        pmu = key_b // ID_CAP
         mu = unpack(pmu, rank)
         pairs = tuple(linalg.dot(root, mu) for root in datum.roots)
         # mu + an offset of absolute value at most `slack` cannot leave the range;
@@ -581,9 +635,16 @@ def mult_bl(a: BLElement, b: BLElement) -> BLElement:
                     _require_reach(mu, lo, hi)
                 _acc_grouped(acc, view, lam + pmu * ID_CAP, mul(pa, pb))
         if vid:
-            for key, c in _settle(acc).items():
+            by_t = defaultdict(list)  # Weyl part t -> (key - t, c), settled
+            for key, c in acc.items():
+                if 0 in c.values():
+                    c = {e: x for e, x in c.items() if x}
+                    if not c:
+                        continue
                 tid = key % ID_CAP
-                _acc(out, _h_times_h_packed(datum, classes, tid, vid), key - tid, c)
+                by_t[tid].append((key - tid, c))
+            for tid, terms in by_t.items():  # acc's maps are this call's to hand over
+                _fold(out, terms, _h_times_h_packed(datum, classes, tid, vid), one)
     return BLElement.from_packed(datum, classes, _settle(out))
 
 

@@ -8,10 +8,11 @@ every letter of u and then folding in H_v for that v alone.  Both must
 give the same packed elements exactly.
 """
 
+import copy
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from kmhecke import hecke_bl, linalg
 from kmhecke.coeff_ring import SUM_HALF, LaurentPoly, pack, param_ring_for, unpack
@@ -19,6 +20,10 @@ from kmhecke.hecke_bl import CACHE_SIZE, BLElement, commute_Hi_past_Z, mult_bl
 from kmhecke.weyl import ID_CAP, STORES, element_from_word, left_mul
 
 FIXTURES = ["a1", "a2", "aff", "chain3", "mixed3"]
+# The properties that compare against `ref_mult_bl` do not shrink a failing
+# example: every shrink step runs the slow reference, and a wrong kernel would
+# keep the suite busy for minutes before it reports.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 # --- the previous kernel -----------------------------------------------------
@@ -164,7 +169,7 @@ def test_mult_bl_matches_the_previous_kernel(request, name):
     datum = request.getfixturevalue(name)
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def check(data):
         words_a = data.draw(st.lists(_words(datum), min_size=1, max_size=3))
         # few Weyl parts on the right, so that terms of b share v
@@ -203,7 +208,7 @@ def test_central_translates_read_one_memo_entry(aff):
         return BLElement.basis(aff, classes, lam, element_from_word(aff, word), classes.const(c))
 
     @given(point, point, word, word, st.integers(-3, 3), st.sampled_from((-2, 1, 3)))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def check(lam, mu, u, v, k, c):
         kc = (k, k, 0)
         moved_left = mult_bl(basis(linalg.vec_add(lam, kc), u, c), basis(mu, v, 1))
@@ -266,7 +271,7 @@ def test_repeated_reads_of_one_entry_match_the_previous_kernel(request, name):
 
     @given(_words(datum), st.lists(point, min_size=2, max_size=3, unique=True), point, elems,
            st.lists(coeff, min_size=3, max_size=3), st.lists(coeff, min_size=3, max_size=3))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     def check(u, lams, mu, vs, ca, cb):
         w = element_from_word(datum, u)
         a = BLElement(datum, classes, {(lam, w): c for lam, c in zip(lams, ca)})
@@ -341,6 +346,105 @@ def test_evicted_grouped_entry_is_rebuilt(a2):
     rebuilt = memo(a2, classes, uid, pairs)
     assert memo.cache_info().misses > misses  # the entry was rebuilt
     assert rebuilt is not first and rebuilt == first
+
+
+# --- the fold by Weyl part ---------------------------------------------------
+#
+# `mult_bl` folds H_v into all keys of one Weyl part t at once, and a memo
+# fill reads H_i H_t once per Weyl part t.  A coefficient-1 term of H_t H_v
+# moves each coefficient to its new key without a multiplication; in
+# `mult_bl`, whose accumulator is its own, the last such move hands the
+# accumulator's map to the result itself.
+
+
+def _fold_shape(a, b):
+    """(several, meets) for a * b: some H_t H_v of the fold has several terms,
+    and the folds of two different t land on one key."""
+    datum, classes = a.datum, a.classes
+    several = meets = False
+    for vid in {k % ID_CAP for k in b.packed}:
+        part = {k - vid: p for k, p in b.packed.items() if k % ID_CAP == vid}
+        folded = ref_mult_bl(a, BLElement.from_packed(datum, classes, part))  # a * b_v, H_v not yet in
+        t_of = {}
+        for key in folded.packed:
+            tid = key % ID_CAP
+            prods = list(ref_h_times_h(datum, classes, tid, vid))
+            several |= len(prods) > 1
+            for wid, _ in prods:
+                meets |= t_of.setdefault(key - tid + wid, tid) != tid
+    return several, meets
+
+
+def _maps(obj):
+    """Every dict held anywhere inside a table entry."""
+    if isinstance(obj, dict):
+        yield obj
+        for x in obj.values():
+            yield from _maps(x)
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _maps(x)
+
+
+# Found by a search for products that fail when the fold hands a map over before
+# another fold adds at its key and the map is read again (a2 and aff), or when a
+# fill moves an entry's map into the next entry without a copy (aff, the third).
+FOLD_CASES = {
+    "a2": [
+        ([((0, 0), (), "f"), ((0, 0), (1,), "f"), ((0, 1), (0, 1, 0), "f")],
+         [((1, 0), (0, 1), "g"), ((2, -1), (0, 1, 0), "f")]),
+    ],
+    "aff": [
+        ([((0, 0, 0), (0, 1), "f"), ((0, 1, 0), (0, 1), "f"), ((1, 0, 0), (1, 0), "g")],
+         [((1, 0, 0), (1, 0), "f"), ((2, -1, 0), (), "g"), ((2, -1, 0), (0, 1, 0), "f")]),
+        ([((-3, 1, 3), (1, 0, 1), "f"), ((0, -3, -1), (0, 1, 0, 1), "g"), ((1, 0, 0), (0,), "g")],
+         [((-3, 1, 3), (1, 0), "f"), ((-1, -2, 3), (1, 0, 1), "f"), ((0, -3, -1), (0, 1, 0, 1), "f")]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", FOLD_CASES)
+def test_fold_shares_no_map_and_changes_no_table(request, name, monkeypatch):
+    """Products whose right factor has two Weyl parts besides e, whose folds have several
+    terms and meet at one key from two different t: they match the reference, leave every
+    table entry they read as it was, and no two keys of their results share a map."""
+    datum = request.getfixturevalue(name)
+    classes = param_ring_for(datum)
+    memo = hecke_bl._basis_product_packed
+    read = {}  # id -> (entry, its deep copy when first read)
+    for table_name in ("_basis_product_packed", "_commute_packed", "_h_times_h_packed"):
+        def recorded(*args, table=getattr(hecke_bl, table_name)):
+            entry = table(*args)
+            if id(entry) not in read:
+                read[id(entry)] = entry, copy.deepcopy(entry)
+            return entry
+
+        monkeypatch.setattr(hecke_bl, table_name, recorded)
+
+    coeffs = {"f": classes.sigma(0) + classes.one(), "g": classes.const(2) - classes.sigma(1)}
+
+    def el(terms):
+        return BLElement(datum, classes, {(lam, element_from_word(datum, w)): coeffs[c] for lam, w, c in terms})
+
+    results = []
+    for terms_a, terms_b in FOLD_CASES[name]:
+        a, b = el(terms_a), el(terms_b)
+        assert len(b.support_w() - {element_from_word(datum, ())}) >= 2
+        assert _fold_shape(a, b) == (True, True)
+        want = ref_mult_bl(a, b)
+        memo.cache_clear()
+        for _ in range(3):  # a cold memo, then warm reads of the same entries
+            got = mult_bl(a, b)
+            assert got == want
+            results.append(got)
+
+    ours = [p for r in results for p in r.packed.values()]
+    assert len({id(p) for p in ours}) == len(ours)
+    held = {id(m) for entry, _ in read.values() for m in _maps(entry)}
+    assert not held & {id(p) for p in ours}
+    assert read
+    for entry, snapshot in read.values():
+        assert entry == snapshot
 
 
 # --- bounded tables ----------------------------------------------------------

@@ -549,8 +549,20 @@ def test_chain_reaching_the_high_edge_answered_and_one_past_refused(capsys, tmp_
     answered, refused = _mul_points(capsys, tmp_path, datum, [0], [[-3, -1], [-2, -1]])
     assert answered == (0, "(σ1'^-1 - σ1')·Z^(2097150,0) + (σ1^-1 - σ1)·Z^(4194303,1)"
                            " + Z^(4194303,1)·H_1\n", "")
-    assert refused[0] == 2 and refused[1] == ""
-    assert refused[2].startswith("CoordinateOutOfRange: ") and "4194304" in refused[2]
+    assert refused == (2, "", "CoordinateOutOfRange: a commutation chain from (-2, -1) reaches entry 4194304, "
+                              "outside -4194304..4194303\n")
+
+
+def test_chain_one_past_the_edge_refused_at_the_slack_bound(capsys, tmp_path):
+    """H_1 Z^mu with alpha_1(mu) = -2 reflects mu by 2 alpha_1^v = (4194304, 2), so the entry's box
+    reaches 2^22.  From mu = (0, -1) the largest |mu_k| plus that reach is 2^22 + 1, and the
+    reflection lands on 2^22, one past the range: `mult_bl` must run its box check and refuse.
+    From mu = (-1, -1) the chain ends on 2^22 - 1 and is answered."""
+    datum = {"gcm": [[2]], "rank_y": 2, "coroots": [[2097152, 1]], "roots": [[0, 2]]}
+    answered, refused = _mul_points(capsys, tmp_path, datum, [0], [[-1, -1], [0, -1]])
+    assert answered[0] == 0 and "Z^(4194303,1)·H_1" in answered[1]
+    assert refused == (2, "", "CoordinateOutOfRange: a commutation chain from (0, -1) reaches entry 4194304, "
+                              "outside -4194304..4194303\n")
 
 
 def test_chain_wider_than_the_range_refused_by_its_span(capsys, tmp_path):
