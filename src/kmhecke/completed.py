@@ -33,7 +33,9 @@ for a target point rho it yields each (lam, u, mus) through which the two
 factors can reach rho.  `compute_source_region` collects what it yields;
 `mult_truncated` and the right action of `bimodule_act` with a target
 (which refuse), `center_test` and the right action without one (which
-keep the certified points) check it through `_unknowns`.
+keep the certified points) check it through `_unknowns`.  Each filtered
+reverse window comes from one bounded memo keyed on (u, nu) and the right
+certificate's bounds, and each element keeps its `knows` point answers.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ CENTRAL = "Central"
 NOT_CENTRAL = "NotCentral"
 INCONCLUSIVE = "Inconclusive"
 REVERSE_WINDOW_CAP = 50_000  # (element, point) nodes one reverse-window search may visit
+REVERSE_MEMO_SIZE = 1 << 12  # (u, nu, certificate bounds) entries of the filtered-window memo
 REGION_MEMO_SIZE = 1 << 7  # (region, datum) entries of the cone-enumeration memo
 REGION_MEMO_POINTS = 1 << 12  # candidate points of the largest cone it keeps
 
@@ -241,9 +244,10 @@ class TruncatedElement:
     means the element is finite and `known` *is* the element.  `in_bl_bar`
     marks elements of the bimodule completion whose Y-support may leave the
     Tits cone (they arise from translating by non-dominant monomials).
+    `_point_known` keeps `knows`'s point answers: an element never changes.
     """
 
-    __slots__ = ("datum", "classes", "region", "known", "certificate", "in_bl_bar")
+    __slots__ = ("datum", "classes", "region", "known", "certificate", "in_bl_bar", "_point_known")
 
     def __init__(
         self,
@@ -270,6 +274,7 @@ class TruncatedElement:
         )
         self.certificate = replace(certificate, w_part=ws)
         self.in_bl_bar = in_bl_bar
+        self._point_known: dict[Point, bool] = {}
         if self.region is not None:
             for lam in known.support_y():
                 if not self.region.contains(datum, lam):
@@ -284,16 +289,20 @@ class TruncatedElement:
 
     def knows(self, lam, w: WeylElement) -> bool:
         """Whether the coefficient at (lam, w) is determined by this truncation."""
+        return self.region is None or w not in self.certificate.w_part or self._knows_point(lam)
+
+    def _knows_point(self, lam) -> bool:
+        """The point test of `knows`, made once per point of this element."""
         lam = tuple(lam)
-        if self.region is None:
-            return True
-        if w not in self.certificate.w_part:
-            return True
-        if not self.in_bl_bar and tits_cone_status(self.datum, lam) != IN_TITS_CONE:
-            return True
-        if not self.certificate.allows_y(self.datum, lam):
-            return True
-        return self.region.contains(self.datum, lam)
+        got = self._point_known.get(lam)
+        if got is None:
+            datum = self.datum
+            got = self._point_known[lam] = (
+                (not self.in_bl_bar and tits_cone_status(datum, lam) != IN_TITS_CONE)
+                or not self.certificate.allows_y(datum, lam)
+                or self.region.contains(datum, lam)
+            )
+        return got
 
     def coeff(self, lam, w: WeylElement) -> LaurentPoly:
         got = self.known.coeff(lam, w)
@@ -409,6 +418,16 @@ def _reverse_window(datum: RootDatum, u: WeylElement, nu: Point, kappas):
     return results
 
 
+@lru_cache(maxsize=REVERSE_MEMO_SIZE)
+def _allowed_window(datum: RootDatum, u: WeylElement, nu: Point, generators, dominant: bool):
+    """`_reverse_window` cut to what a certificate with these bounds allows,
+    in the search's order; a refusal propagates and is not stored."""
+    cert = AFCertificate(generators, (), dominant)
+    return tuple(
+        mu for mu in _reverse_window(datum, u, nu, generators) if cert.allows_y(datum, mu)
+    )
+
+
 def _require_certifiable(cert_a: AFCertificate, u_cap: int, cert_b: AFCertificate | None):
     """The preconditions under which the walk below is finite.
 
@@ -455,8 +474,7 @@ def _contributions(datum: RootDatum, rho: Point, cert_a, cert_b, left=None, wind
             if not u.word:
                 yield lam, u, (nu,)
                 continue
-            mus = _reverse_window(datum, u, nu, cert_b.generators)
-            yield lam, u, [mu for mu in mus if cert_b.allows_y(datum, mu)]
+            yield lam, u, _allowed_window(datum, u, nu, cert_b.generators, cert_b.dominant)
 
 
 def _unknowns(points, a: TruncatedElement, b: TruncatedElement):
@@ -686,6 +704,7 @@ class CenterVerdict:
     probe: BLElement | None = None
     coordinate: tuple[Point, WeylElement] | None = None
     detail: str = ""
+    skipped: tuple[BLElement, ...] = ()
 
 
 def _probe_elements(a: TruncatedElement, z_probes) -> list[BLElement]:
@@ -709,10 +728,11 @@ def center_test(
     Weyl support and orbit-invariant coefficients, with every relevant
     orbit finite and fully determined by the region and certificate.
     Everything else is Inconclusive: a truncation can only ever verify
-    centrality up to what it sees.
+    centrality up to what it sees.  The verdict lists in `skipped` the
+    probes the walk refused to certify.
     """
-    datum = a.datum
     support_y = a.known.support_y()
+    skipped: list[BLElement] = []
     for p in _probe_elements(a, z_probes):
         tp = TruncatedElement.from_bl(p)
         lhs = mult_bl(a.known, p)
@@ -724,6 +744,7 @@ def center_test(
             _require_certifiable(tp.certificate, u_cap, None if a.region is None else a.certificate)
             refused |= {rho for rho, _ in _unknowns(cands, tp, a)}
         except (InsufficientSource, CapExceeded):
+            skipped.append(p)
             continue
         differ = (lhs - rhs).restrict_y(cands - refused)
         if not differ.is_zero():
@@ -733,9 +754,14 @@ def center_test(
                 probe=p,
                 coordinate=key,
                 detail=f"a*x and x*a differ at {key[0]} H_{key[1].word}",
+                skipped=tuple(skipped),
             )
+    return replace(_structural_verdict(a, support_y), skipped=tuple(skipped))
 
-    # structural certification for a Central verdict
+
+def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
+    """The structural certification for a Central verdict."""
+    datum = a.datum
     if any(w.word for w in a.known.support_w()):
         return CenterVerdict(
             INCONCLUSIVE,
@@ -771,7 +797,7 @@ def center_test(
                     INCONCLUSIVE,
                     detail=f"orbit of {rep.dominant} leaves the region at {mu}",
                 )
-            values.append(a.coeff(mu, e))
+            values.append(a.known.coeff(mu, e))
         if any(v != values[0] for v in values):
             return CenterVerdict(
                 INCONCLUSIVE,

@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kmhecke import completed
 from kmhecke.coeff_ring import param_ring_for
 from kmhecke.completed import (
     AFCertificate,
@@ -22,7 +24,7 @@ from kmhecke.completed import (
     mult_truncated,
     truncated_from_json,
 )
-from kmhecke.errors import InsufficientSource, NotDominant
+from kmhecke.errors import CapExceeded, InsufficientSource, NotDominant
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
 from kmhecke.root_system import build_realization, dominance_leq, validate_gcm
 from kmhecke.weyl import element_from_word, identity, left_descents, left_mul, orbit_is_finite
@@ -331,6 +333,15 @@ class TestCenter:
         )
         assert center_test(a).status == INCONCLUSIVE
 
+    def test_skipped_probe_is_listed(self, a1):
+        """H_0's commutator with a weakly certified series cannot be
+        certified; the verdict names that probe and no other."""
+        classes = param_ring_for(a1)
+        verdict = center_test(geometric_series(a1, 3))
+        assert verdict.skipped == (BLElement.h_word(a1, classes, [0]),)
+        assert verdict.status == INCONCLUSIVE
+        assert center_test(TruncatedElement.from_bl(BLElement.unit(a1, classes))).skipped == ()
+
     def test_center_products_commute(self, a2):
         classes = param_ring_for(a2)
         big = Region.cone([(3, 3)], 12)
@@ -557,3 +568,124 @@ def test_reverse_window_matches_brute_force(request, name, kappa, depth):
                 _, src_b = compute_source_region(datum, Region.explicit([nu]), cert_a, cert_b)
                 for mu in want:
                     assert src_b.contains(datum, mu) or not cert_b.allows_y(datum, mu)
+
+
+# --- the filtered reverse-window memo and the per-point test of `knows` ---
+
+def _direct_window(datum, u, nu, generators, dominant):
+    """The memo's answer, from `_reverse_window` and `allows_y` called directly."""
+    cert = AFCertificate(generators, (), dominant)
+    return [mu for mu in _reverse_window(datum, u, nu, generators) if cert.allows_y(datum, mu)]
+
+
+# by datum: left generator, words of the left Weyl parts, right generator, target top
+_WALKS = {
+    "a1": ((0,), ((), (0,)), (1,), (2,)),
+    "a2": ((0, 0), ((), (0,), (0, 1)), (1, 1), (2, 2)),
+    "aff": ((0, 0, 0), ((0,), (0, 1)), D, D),
+}
+
+
+def _certified_walk(datum, name):
+    """compute_source_region, mult_truncated on its regions, and every
+    (rho, needed) that `_unknowns` yields for factors one height short."""
+    ga, words, gb, top = _WALKS[name]
+    cert_a = AFCertificate((ga,), tuple(element_from_word(datum, w) for w in words))
+    cert_b = AFCertificate((gb,), (identity(datum),), dominant=True)
+    target = Region.cone([top], 2)
+    src_a, src_b = compute_source_region(datum, target, cert_a, cert_b)
+    rng = random.Random(5)
+    a, _ = _factor(datum, cert_a, src_a, rng)
+    b, _ = _factor(datum, cert_b, src_b, rng)
+    got = mult_truncated(a, b, target).coeffs
+    short_a, _ = _factor(datum, cert_a, replace(src_a, height=max(src_a.height - 1, 0)), rng)
+    short_b, _ = _factor(datum, cert_b, replace(src_b, height=max(src_b.height - 1, 0)), rng)
+    unknowns = list(completed._unknowns(target.enumerate(datum), short_a, short_b))
+    return (src_a, src_b), got, unknowns
+
+
+@pytest.mark.parametrize("name", ("a1", "a2", "aff"))
+def test_window_memo_cold_and_warm_match_the_direct_walk(request, name, monkeypatch):
+    datum = request.getfixturevalue(name)
+    completed._allowed_window.cache_clear()
+    cold = _certified_walk(datum, name)
+    assert completed._allowed_window.cache_info().currsize > 0
+    warm = _certified_walk(datum, name)
+    assert completed._allowed_window.cache_info().hits > 0
+    monkeypatch.setattr(completed, "_allowed_window", _direct_window)
+    want = _certified_walk(datum, name)
+    assert cold == warm == want
+    assert want[1] and want[2]  # a product to compare, and refusals with their `needed`
+
+
+def test_window_memo_keeps_the_dominant_flag_apart(a2):
+    """Equal generators, different `dominant`: each certificate gets its own
+    filtered window, whichever comes first."""
+    e = identity(a2)
+    cert_a = AFCertificate(((0, 0),), (element_from_word(a2, [0]), element_from_word(a2, [0, 1])))
+    strong, weak = (AFCertificate(((1, 1),), (e,), dominant=d) for d in (True, False))
+    points = list(itertools.product(range(-2, 3), repeat=2))
+    completed._allowed_window.cache_clear()
+    differ = False
+    for cert_b in (strong, weak, strong, weak):
+        for rho in points:
+            for lam, u, mus in completed._contributions(a2, rho, cert_a, cert_b):
+                nu = tuple(r - x for r, x in zip(rho, lam))
+                assert list(mus) == [
+                    mu for mu in _reverse_window(a2, u, nu, cert_b.generators)
+                    if cert_b.allows_y(a2, mu)
+                ]
+                other = weak if cert_b is strong else strong
+                differ |= list(mus) != _direct_window(a2, u, nu, other.generators, other.dominant)
+    assert differ
+
+
+def test_window_memo_stores_no_refusal(aff, monkeypatch):
+    cert_a = AFCertificate((aff.zero(),), (element_from_word(aff, [0, 1]),))
+    cert_b = AFCertificate((D,), (identity(aff),), dominant=True)
+    target = Region.cone([D], 2)
+    completed._allowed_window.cache_clear()
+    monkeypatch.setattr(completed, "REVERSE_WINDOW_CAP", 2)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            compute_source_region(aff, target, cert_a, cert_b)
+        assert completed._allowed_window.cache_info().currsize == 0
+    monkeypatch.undo()
+    got = compute_source_region(aff, target, cert_a, cert_b)
+    monkeypatch.setattr(completed, "_allowed_window", _direct_window)
+    assert got == compute_source_region(aff, target, cert_a, cert_b)
+
+
+def test_reverse_window_cap_counts_the_nodes_it_visits(a1, monkeypatch):
+    """A search of two nodes, (r_1, nu) and (e, nu), is answered under a cap
+    of 2 and refused under a cap of 1."""
+    r1 = element_from_word(a1, [0])
+    monkeypatch.setattr(completed, "REVERSE_WINDOW_CAP", 2)
+    assert _reverse_window(a1, r1, (0,), ((0,),)) == {(0,)}
+    monkeypatch.setattr(completed, "REVERSE_WINDOW_CAP", 1)
+    with pytest.raises(CapExceeded):
+        _reverse_window(a1, r1, (0,), ((0,),))
+
+
+@pytest.mark.parametrize("in_bl_bar", (False, True))
+def test_point_test_answers_as_a_fresh_element(aff, in_bl_bar):
+    """`knows` asked twice, in either order, answers as a freshly built equal
+    element, at Weyl parts in and out of the certificate."""
+    classes = param_ring_for(aff)
+    e, r0, r1 = (element_from_word(aff, w) for w in ((), (0,), (1,)))
+    region = Region.cone([(1, 1, 1)], 2)
+    cert = AFCertificate(((1, 1, 1),), (e, r0), dominant=False)
+    coeffs = {(lam, w): classes.one() for lam in region.enumerate(aff) for w in (e, r0)}
+
+    def fresh():
+        return TruncatedElement(aff, classes, region, coeffs, cert, in_bl_bar)
+
+    box = itertools.product(range(-1, 4), range(-1, 4), range(0, 3))
+    queries = [(lam, w) for lam in box for w in (e, r0, r1)]
+    want = {q: fresh().knows(*q) for q in queries}
+    assert len(set(want.values())) == 2
+    assert any(want[(lam, e)] != want[(lam, r1)] for lam, _ in queries)
+    for order in (queries, queries[::-1]):
+        a = fresh()
+        for _ in range(2):
+            assert [a.knows(*q) for q in order] == [want[q] for q in order]

@@ -18,7 +18,12 @@ from kmhecke.weyl import orbit_enumerate
 
 from test_certificate_oracle import _strategies
 
-TABLES = (root_system._dominance_coords, completed._cone_points, weyl._orbit_memo)
+TABLES = (
+    root_system._dominance_coords,
+    completed._cone_points,
+    completed._allowed_window,
+    weyl._orbit_memo,
+)
 
 
 def _height_by_solve(datum, lo, hi):
@@ -77,6 +82,18 @@ def test_large_cones_are_walked_but_not_kept(a2, monkeypatch):
     monkeypatch.setattr(completed, "REGION_MEMO_POINTS", 5)
     assert region.enumerate(a2) == want
     assert completed._cone_points.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("limit, kept", ((19, 0), (20, 1)))
+def test_cone_at_the_point_bound_is_kept(a2, monkeypatch, limit, kept):
+    """REGION_MEMO_POINTS is the candidate count of the largest cone kept:
+    two generators at height 3 on A2 have 2 * C(5, 2) = 20 candidates."""
+    region = Region.cone([(1, 1), (2, 1)], 3)
+    want = region.enumerate(a2)
+    completed._cone_points.cache_clear()
+    monkeypatch.setattr(completed, "REGION_MEMO_POINTS", limit)
+    assert region.enumerate(a2) == want
+    assert completed._cone_points.cache_info().currsize == kept
 
 
 def test_orbit_caps_do_not_share_an_entry(a2):
