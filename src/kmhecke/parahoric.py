@@ -4,8 +4,9 @@ A face datum is a subset J_zero of simple indices (pairings vanishing on
 the face direction); the face is spherical when the parabolic W_F it
 generates is finite, and only then does the double-coset algebra exist.
 Coset sums are taken in the T-normalization T_(mu,x) = sigma_x Z^mu H_x,
-so products of coset sums are divisible by the Poincare polynomial of
-W_F, and the structure constants are read off after that division.  For
+so a product of two coset sums is a combination of coset sums whose
+coefficients the Poincare polynomial of W_F divides; the structure
+constants are those quotients.  For
 a non-spherical face the same recipe provably fails: the module exposes
 the constructive witness, a stream of pairwise-distinct elements of one
 would-be structure-constant set.
@@ -98,9 +99,8 @@ def double_coset(
             raise ValueError("coset Y-parts must lie in Y+")
         return (drop, mu, x.word)
 
-    best = min(pairs, key=key)
-    label = CosetLabel(best[0], best[1].word)
-    return label, tuple(sorted(pairs, key=key))
+    pairs = tuple(sorted(pairs, key=key))
+    return CosetLabel(pairs[0][0], pairs[0][1].word), pairs
 
 
 def coset_sum(face: FaceType, pairs) -> BLElement:
@@ -130,56 +130,48 @@ def poincare_polynomial(face: FaceType) -> LaurentPoly:
 def decompose_in_coset_sums(face: FaceType, element: BLElement) -> dict[CosetLabel, LaurentPoly]:
     """Write an element as a combination of coset sums, or fail loudly.
 
-    Double cosets partition the index pairs, so each coefficient is read
-    off one representative and verified against the whole coset (the
-    T-normalization fixes the relative coefficients along a coset).
+    The smallest remaining key names a double coset; the multiple of its
+    coset sum that clears that key is subtracted, until nothing is left.
+    Reaching a coset a second time means the element is no such
+    combination.  So an answer always rebuilds the element exactly, and
+    the normalization of a coset sum is read from `coset_sum` alone.
     """
-    classes = param_ring_for(face.datum)
     result: dict[CosetLabel, LaurentPoly] = {}
-    remaining = element.terms
-    while remaining:
-        (lam, x) = min(remaining, key=lambda k: (k[0], k[1].word))
+    remaining = element
+    while not remaining.is_zero():
+        lam, x = min(remaining.support(), key=lambda k: (k[0], k[1].word))
         label, pairs = double_coset(face, lam, x)
-        a = remaining[(lam, x)].exact_div(classes.word_monomial(x.word))
-        assert a is not None  # monomials are invertible
-        zero = classes.zero()
-        for mu, y in pairs:
-            expected = a * classes.word_monomial(y.word)
-            actual = remaining.pop((tuple(mu), y), zero)
-            if actual != expected:
-                raise NotDivisible(
-                    "element is not a combination of coset sums "
-                    f"(mismatch at {mu} H_{y.word})"
-                )
-        result[label] = a
+        if label in result:
+            raise NotDivisible(
+                f"element is not a combination of coset sums (left over at {lam} H_{x.word})"
+            )
+        x_d = coset_sum(face, pairs)
+        result[label] = remaining.coeff(lam, x) * x_d.coeff(lam, x) ** -1
+        remaining = remaining - x_d.scale(result[label])
     return result
 
 
 def parahoric_product(
     face: FaceType, d1: CosetLabel, d2: CosetLabel
 ) -> dict[CosetLabel, LaurentPoly]:
-    """Structure constants of X_{d1} * X_{d2} after dividing by P_F.
+    """Structure constants of X_{d1} * X_{d2}: its coset-sum coefficients over P_F.
 
-    The product of two coset sums must be P_F times a combination of
-    coset sums; failure of either divisibility or the grouping is a
-    model-consistency error and is reported, never rounded away.
+    The product of two coset sums must be a combination of coset sums
+    whose coefficients P_F divides; failure of either the grouping or a
+    division is a model-consistency error and is reported, never rounded
+    away.
     """
-    datum = face.datum
-    classes = param_ring_for(datum)
-    x1 = coset_sum_of_label(face, d1)
-    x2 = coset_sum_of_label(face, d2)
-    prod = mult_bl(x1, x2)
+    prod = mult_bl(coset_sum_of_label(face, d1), coset_sum_of_label(face, d2))
     pf = poincare_polynomial(face)
-
-    quotient: dict[tuple[Point, WeylElement], LaurentPoly] = {}
-    for key, poly in prod.terms.items():
-        q = poly.exact_div(pf)
-        if q is None:
+    constants: dict[CosetLabel, LaurentPoly] = {}
+    for label, a in decompose_in_coset_sums(face, prod).items():
+        c = a.exact_div(pf)
+        if c is None:
             raise NotDivisible(
-                f"coefficient at {key[0]} H_{key[1].word} is not divisible by P_F"
+                f"coset-sum coefficient at {label.lam} H_{label.word} is not divisible by P_F"
             )
-        quotient[key] = q
-    return decompose_in_coset_sums(face, BLElement(datum, classes, quotient))
+        constants[label] = c
+    return constants
 
 
 def tree_orbit_size(l: int, q=None, qprime=None):

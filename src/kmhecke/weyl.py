@@ -102,7 +102,10 @@ class WeylElement:
         return "W(" + "*".join(f"r{i + 1}" for i in self.word) + ")"
 
     def apply(self, v) -> Point:
-        return linalg.mat_vec(self.matrix, tuple(v))
+        v = tuple(v)
+        if len(v) != self.datum.rank_y:  # linalg.dot stops at the shorter vector
+            raise PointLengthMismatch(v, self.datum.rank_y)
+        return linalg.mat_vec(self.matrix, v)
 
 
 class ElementStore:

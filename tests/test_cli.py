@@ -245,6 +245,7 @@ def test_complete_cli_round_trip(capsys, tmp_path, a2_file):
         ["hecke", "commute", "--index", "-1", "--point", "1,1"],
         ["parahoric", "coset", "--jzero", "5", "--point", "1,1"],
         ["parahoric", "coset", "--jzero", "0", "--point", "1,1", "--word", "4"],
+        ["parahoric", "coset", "--jzero", "2", "--point", "1,1"],
     ],
 )
 def test_out_of_range_simple_index(capsys, a2_file, argv):
@@ -259,6 +260,12 @@ def test_out_of_range_simple_index(capsys, a2_file, argv):
         ["weyl", "dominant", "--point", "1,-2,7"],
         ["weyl", "orbit", "--point", "1,0,5"],
         ["weyl", "dominant", "--point", "1"],
+        ["parahoric", "coset", "--jzero", "0", "--point", "1,1,5"],
+        ["parahoric", "coset", "--jzero", "0", "--point", ""],
+        ["parahoric", "product", "--jzero", "0",
+         "--d1", '{"lambda": [1, 1, 7], "word": []}', "--d2", '{"lambda": [1, 1], "word": []}'],
+        ["parahoric", "product", "--jzero", "0",
+         "--d1", '{"lambda": [1, 1], "word": []}', "--d2", '{"lambda": [], "word": []}'],
     ],
 )
 def test_wrong_length_point(capsys, a2_file, argv):

@@ -2,8 +2,9 @@ import time
 
 import pytest
 
+from kmhecke import parahoric
 from kmhecke.coeff_ring import LaurentPoly, param_ring_for
-from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, NonSpherical
+from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, NonSpherical, NotDivisible
 from kmhecke.hecke_bl import BLElement, mult_bl
 from kmhecke.parahoric import (
     CosetLabel,
@@ -16,6 +17,7 @@ from kmhecke.parahoric import (
     poincare_polynomial,
     tree_orbit_size,
 )
+from kmhecke.root_system import build_realization, validate_gcm
 from kmhecke.weyl import element_from_word, identity, inverse, multiply
 
 
@@ -125,6 +127,98 @@ class TestParahoricProduct:
                             right[lbl2] = right.get(lbl2, classes.zero()) + c * c2
                     right = {k: v for k, v in right.items() if not v.is_zero()}
                     assert left == right
+
+
+# points of Y+ on each datum; b2 is built here, the others are fixtures
+POINTS = {
+    "a1": [(0,), (1,), (2,), (-1,), (3,)],
+    "a2": [(0, 0), (1, 0), (1, 1), (-1, 2), (2, 2)],
+    "b2": [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)],
+    "aff": [(0, 0, 0), (0, 0, 1), (1, 0, 1), (2, 1, 1)],
+}
+
+
+def _datum(request, name):
+    if name == "b2":
+        return build_realization(validate_gcm([[2, -2], [-1, 2]]))
+    return request.getfixturevalue(name)
+
+
+def _labels(face, points):
+    datum = face.datum
+    labels = []
+    for lam in points:
+        for word in [(), (0,), (datum.n - 1,)]:
+            label, _ = double_coset(face, lam, element_from_word(datum, word))
+            if label not in labels:
+                labels.append(label)
+    return labels
+
+
+class TestDecomposition:
+    @pytest.mark.parametrize(
+        "name, j_zero",
+        [
+            ("a1", ()), ("a1", (0,)),
+            ("a2", ()), ("a2", (1,)), ("a2", (0, 1)),
+            ("b2", ()), ("b2", (0,)), ("b2", (0, 1)),
+            ("aff", ()), ("aff", (0,)), ("aff", (1,)),
+        ],
+    )
+    def test_combination_decomposes_back(self, request, name, j_zero):
+        datum = _datum(request, name)
+        face = face_type(datum, j_zero)
+        classes = param_ring_for(datum)
+        labels = _labels(face, POINTS[name])[:4]
+        assert len(labels) == 4
+        coeffs = [classes.const(k + 2) - classes.sigma(0, power=k + 1) for k in range(len(labels))]
+        element = BLElement.zero(datum, classes)
+        for label, c in zip(labels, coeffs):
+            element = element + coset_sum_of_label(face, label).scale(c)
+        assert decompose_in_coset_sums(face, element) == dict(zip(labels, coeffs))
+
+    @staticmethod
+    def _coset(a2):
+        face = face_type(a2, (0, 1))
+        label = double_coset(face, (1, 0), identity(a2))[0]
+        x = coset_sum_of_label(face, label)
+        keys = sorted(x.terms, key=lambda k: (k[0], k[1].word))
+        assert len(keys) > 2
+        return face, x, keys
+
+    def test_one_term_of_a_coset_sum_refused(self, a2):
+        face, x, keys = self._coset(a2)
+        for lam, w in (keys[0], keys[-1]):
+            one_term = BLElement.basis(a2, x.classes, lam, w, x.coeff(lam, w))
+            with pytest.raises(NotDivisible):
+                decompose_in_coset_sums(face, one_term)
+
+    def test_one_coefficient_changed_refused(self, a2):
+        face, x, keys = self._coset(a2)
+        for key in (keys[0], keys[-1]):
+            terms = x.terms
+            terms[key] = terms[key] * 2
+            with pytest.raises(NotDivisible):
+                decompose_in_coset_sums(face, BLElement(a2, x.classes, terms))
+
+    def test_one_term_removed_refused(self, a2):
+        face, x, keys = self._coset(a2)
+        for key in (keys[0], keys[-1]):
+            terms = x.terms
+            del terms[key]
+            with pytest.raises(NotDivisible):
+                decompose_in_coset_sums(face, BLElement(a2, x.classes, terms))
+
+    def test_constant_not_divisible_by_the_poincare_polynomial_refused(self, a1, monkeypatch):
+        face = face_type(a1, (0,))
+        labels = _labels(face, [(0,), (1,)])
+        assert parahoric_product(face, labels[0], labels[1])
+        real = parahoric.poincare_polynomial
+        monkeypatch.setattr(parahoric, "poincare_polynomial", lambda f: real(f) * 2)
+        for d1 in labels:
+            for d2 in labels:
+                with pytest.raises(NotDivisible):
+                    parahoric_product(face, d1, d2)
 
 
 class TestCosetSumInvariance:

@@ -201,6 +201,14 @@ class TestProjectionMemo:
         assert weyl._project.cache_info().currsize == before
 
 
+def test_apply_refuses_a_point_of_the_wrong_length(a2):
+    r0 = simple_reflection(a2, 0)
+    assert r0.apply((1, 0)) == (-1, 0)
+    for v in [(1, 0, 7), (1,), ()]:
+        with pytest.raises(PointLengthMismatch):
+            r0.apply(v)
+
+
 class TestIndefiniteSemiDecision:
     def test_unknown_status_and_error(self):
         from kmhecke.errors import TitsConeUndecided
