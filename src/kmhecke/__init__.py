@@ -18,7 +18,6 @@ from .completed import (
     Region,
     TruncatedElement,
     bimodule_act,
-    center_of_H_classify,
     center_test,
     compute_source_region,
     e_function_expand,

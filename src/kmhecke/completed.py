@@ -36,6 +36,10 @@ factors can reach rho.  `compute_source_region` collects what it yields;
 keep the certified points) check it through `_unknowns`.  Each filtered
 reverse window comes from one bounded memo keyed on (u, nu) and the right
 certificate's bounds, and each element keeps its `knows` point answers.
+
+`center_test` enumerates an orbit only when it stores a coefficient or
+the certificate allows its dominant point: a dominant certificate reads
+only that point, so it certifies every other orbit zero throughout.
 """
 
 from __future__ import annotations
@@ -730,6 +734,13 @@ def center_test(
     Everything else is Inconclusive: a truncation can only ever verify
     centrality up to what it sees.  The verdict lists in `skipped` the
     probes the walk refused to certify.
+
+    The structural check enumerates an orbit only when its verdict could
+    depend on it: an orbit that holds no stored coefficient, under a
+    dominant certificate that refuses its dominant point, is certified
+    zero at every point and is passed over unenumerated.  Such an orbit of
+    more than 100,000 points therefore reads Central (exactly), where a
+    capped enumeration would read Inconclusive.
     """
     support_y = a.known.support_y()
     skipped: list[BLElement] = []
@@ -760,7 +771,12 @@ def center_test(
 
 
 def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
-    """The structural certification for a Central verdict."""
+    """The structural certification for a Central verdict.
+
+    A dominant certificate's `allows_y` depends only on a point's dominant
+    representative, so an orbit whose top it refuses, and where `known`
+    stores nothing, is certified zero throughout and is skipped.
+    """
     datum = a.datum
     if any(w.word for w in a.known.support_w()):
         return CenterVerdict(
@@ -772,6 +788,7 @@ def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
     else:
         points = a.region.enumerate(datum)
     e = identity(datum)
+    stored = {dominant_representative(datum, lam).dominant for lam in support_y}
     seen_orbits: set[Point] = set()
     for lam in points:
         rep = dominant_representative(datum, lam)
@@ -780,6 +797,12 @@ def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
         if rep.dominant in seen_orbits:
             continue
         seen_orbits.add(rep.dominant)
+        if (
+            rep.dominant not in stored
+            and a.certificate.dominant
+            and not a.certificate.allows_y(datum, rep.dominant)
+        ):
+            continue  # every point of the orbit is certified zero
         if not orbit_is_finite(datum, rep.dominant):
             if not a.coeff(lam, e).is_zero():
                 return CenterVerdict(
@@ -806,14 +829,3 @@ def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
             )
     return CenterVerdict(CENTRAL)
 
-
-def center_of_H_classify(datum: RootDatum, lam, budget: int = 1000) -> bool:
-    """Membership of lam in the lattice part underlying the center of H.
-
-    True iff lam pairs trivially with every non-finite component, i.e. the
-    monomial Z^lam lies in the span of the finite-type and inessential
-    directions; that is exactly the test of `orbit_is_finite`.  This is a
-    lattice-membership statement; in finite type the center consists of
-    invariant combinations, not single monomials.
-    """
-    return orbit_is_finite(datum, lam, budget)

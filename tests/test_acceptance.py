@@ -18,7 +18,6 @@ from kmhecke.completed import (
     EFunction,
     Region,
     TruncatedElement,
-    center_of_H_classify,
     center_test,
     compute_source_region,
     e_function_expand,
@@ -47,7 +46,6 @@ from kmhecke.weyl import (
     inverse,
     multiply,
     orbit_enumerate,
-    orbit_is_finite,
     simple_reflection,
 )
 
@@ -216,8 +214,8 @@ def test_criterion_5_completed_product(a1):
 
 
 def test_criterion_6_center(a2, aff):
-    """Orbit sums are central, the level direction is not, and the finite
-    center matches orbit finiteness."""
+    """Orbit sums are central, the level direction is not, and a monomial
+    Z^lam is central exactly when W fixes lam."""
     classes2 = param_ring_for(a2)
     a = e_function_expand(
         EFunction.single(a2, classes2, (1, 1)), Region.cone([(1, 1)], 6)
@@ -244,9 +242,11 @@ def test_criterion_6_center(a2, aff):
         lam = tuple(rng.randint(-2, 2) for _ in range(datum.rank_y))
         if dominant_representative(datum, lam).status != IN_TITS_CONE:
             continue
-        assert center_of_H_classify(datum, lam) == orbit_is_finite(datum, lam)
+        z = TruncatedElement.from_bl(BLElement.z_monomial(datum, param_ring_for(datum), lam))
+        w_fixed = all(datum.pairing(i, lam) == 0 for i in range(datum.n))
+        assert center_test(z).status == (CENTRAL if w_fixed else NOT_CENTRAL)
         checked += 1
-    print("\nACCEPTANCE 6 PASS: center tests with explicit witness; 50-point consistency")
+    print("\nACCEPTANCE 6 PASS: center tests with explicit witness; Z^lam central iff W-fixed at 50 points")
 
 
 def test_criterion_7_invariant_series(a2, aff):

@@ -16,7 +16,6 @@ from kmhecke.completed import (
     Region,
     TruncatedElement,
     bimodule_act,
-    center_of_H_classify,
     center_test,
     _reverse_window,
     compute_source_region,
@@ -26,8 +25,22 @@ from kmhecke.completed import (
 )
 from kmhecke.errors import CapExceeded, InsufficientSource, NotDominant
 from kmhecke.hecke_bl import BLElement, commute_Hi_past_Z, mult_bl
-from kmhecke.root_system import build_realization, dominance_leq, validate_gcm
-from kmhecke.weyl import element_from_word, identity, left_descents, left_mul, orbit_is_finite
+from kmhecke.root_system import (
+    build_realization,
+    dominance_leq,
+    height_between,
+    q_coords,
+    validate_gcm,
+)
+from kmhecke.weyl import (
+    element_from_word,
+    identity,
+    in_y_plus,
+    left_descents,
+    left_mul,
+    orbit_enumerate,
+    orbit_is_finite,
+)
 
 C = (1, 1, 0)  # the central coroot direction of affine A1
 D = (0, 0, 1)  # the extra basis direction
@@ -360,26 +373,37 @@ class TestCenter:
 
 class TestCenterOfH:
     def test_finite_type_membership(self, a2):
-        assert center_of_H_classify(a2, (1, 1))
+        """On finite A2 the orbit sum of (1, 1), a finite element, is central."""
+        classes = param_ring_for(a2)
+        orbit = BLElement.zero(a2, classes)
+        for mu in orbit_enumerate(a2, (1, 1)):
+            orbit = orbit + BLElement.z_monomial(a2, classes, mu)
+        assert center_test(TruncatedElement.from_bl(orbit)).status == CENTRAL
 
     def test_affine_central_direction(self, aff):
-        assert center_of_H_classify(aff, C)
+        classes = param_ring_for(aff)
+        z = TruncatedElement.from_bl(BLElement.z_monomial(aff, classes, C))
+        assert center_test(z).status == CENTRAL
 
     def test_affine_level_direction(self, aff):
-        assert not center_of_H_classify(aff, D)
+        classes = param_ring_for(aff)
+        z = TruncatedElement.from_bl(BLElement.z_monomial(aff, classes, D))
+        assert center_test(z).status == NOT_CENTRAL
 
-    def test_agrees_with_orbit_finiteness(self, a2, aff):
-        rng = random.Random(41)
-        from kmhecke.weyl import IN_TITS_CONE, dominant_representative
-
-        checked = 0
-        while checked < 50:
-            datum = rng.choice([a2, aff])
-            lam = tuple(rng.randint(-2, 2) for _ in range(datum.rank_y))
-            if dominant_representative(datum, lam).status != IN_TITS_CONE:
-                continue
-            assert center_of_H_classify(datum, lam) == orbit_is_finite(datum, lam)
-            checked += 1
+    def test_z_lambda_central_iff_w_fixed(self, a2, aff):
+        """Z^lam is central exactly when W fixes lam, over all of [-2, 2]^r in Y+."""
+        b2 = build_realization(validate_gcm([[2, -2], [-1, 2]]))
+        fixed = 0
+        for datum in (a2, b2, aff):
+            classes = param_ring_for(datum)
+            for lam in itertools.product(range(-2, 3), repeat=datum.rank_y):
+                if not in_y_plus(datum, lam):
+                    continue
+                z = TruncatedElement.from_bl(BLElement.z_monomial(datum, classes, lam))
+                w_fixed = all(datum.pairing(i, lam) == 0 for i in range(datum.n))
+                fixed += w_fixed
+                assert center_test(z).status == (CENTRAL if w_fixed else NOT_CENTRAL), lam
+        assert fixed == 7  # the origin of a2 and b2, and 5 multiples of C on aff
 
 
 class TestStrictnessFixtures:
@@ -397,8 +421,6 @@ class TestStrictnessFixtures:
         out = e_function_expand(
             EFunction.single(a2, classes, (2, 1)), Region.cone([(2, 1)], 20)
         )
-        from kmhecke.weyl import orbit_enumerate
-
         orbit = orbit_enumerate(a2, (2, 1))
         assert sorted(lam for (lam, _) in out.coeffs) == list(orbit.points)
         # affine: a non-inessential dominant weight has infinite orbit
@@ -569,6 +591,21 @@ def test_reverse_window_matches_brute_force(request, name, kappa, depth):
                 for mu in want:
                     assert src_b.contains(datum, mu) or not cert_b.allows_y(datum, mu)
 
+
+
+@pytest.mark.parametrize("name, kappa", [("a1", (2,)), ("a2", (1, 1)), ("aff", (0, 0, 1))])
+def test_reverse_window_stays_within_height_budget(request, name, kappa):
+    """No mu that `_reverse_window` returns lies higher above nu than the
+    budget, the height of kappa over nu: the room left after a step up by
+    j is room - j."""
+    datum = request.getfixturevalue(name)
+    for u in _elements_up_to(datum, 3):
+        for nu in itertools.product(range(-2, 3), repeat=datum.rank_y):
+            budget = height_between(datum, nu, kappa)
+            if budget is None:
+                continue
+            for mu in _reverse_window(datum, u, nu, (kappa,)):
+                assert sum(q_coords(datum, tuple(m - n for m, n in zip(mu, nu)))) <= budget
 
 # --- the filtered reverse-window memo and the per-point test of `knows` ---
 
