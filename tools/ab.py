@@ -1,6 +1,6 @@
 """Alternating A/B runs of the benchmark: a parent revision against the working tree.
 
-    python3 tools/ab.py 84869d7 --seeds 4101-4110 --workdir /tmp/ab \\
+    python3 tools/ab.py HEAD~1 --seeds 4101-4110 --workdir ../ab \\
         --aa completion --claim completion:wall_s --out BENCH_orbit_verdict.json
 
 The parent is extracted with `git archive PARENT_REV`, and the working
