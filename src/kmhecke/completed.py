@@ -771,12 +771,7 @@ def center_test(
 
 
 def _structural_verdict(a: TruncatedElement, support_y) -> CenterVerdict:
-    """The structural certification for a Central verdict.
-
-    A dominant certificate's `allows_y` depends only on a point's dominant
-    representative, so an orbit whose top it refuses, and where `known`
-    stores nothing, is certified zero throughout and is skipped.
-    """
+    """The structural certification for a Central verdict."""
     datum = a.datum
     if any(w.word for w in a.known.support_w()):
         return CenterVerdict(

@@ -1,6 +1,6 @@
 """Alternating A/B runs of the benchmark: a parent revision against the working tree.
 
-    python3 tools/ab.py HEAD~1 --seeds 4101-4110 --workdir ../ab \\
+    python3 tools/ab.py HEAD~1 --seeds 4201-4210 --workdir ../ab \\
         --aa completion --claim completion:wall_s --out BENCH_orbit_verdict.json
 
 The parent is extracted with `git archive PARENT_REV`, and the working
@@ -8,16 +8,16 @@ tree (uncommitted edits included) is copied beside it, both into
 `--workdir`, never into the repository.  Each seed is one pair: for every
 workload of `BENCHMARK.json` in turn, each side runs the benchmark's
 command with `--workload W --seed S --seconds T --trace 0` in its own
-tree, T being the benchmark's `run_seconds` unless `--seconds` is given.
-The side that runs first alternates from pair to pair.
+tree, T being the benchmark's `run_seconds`.  The side that runs first
+alternates from pair to pair.
 `src/kmhecke/__pycache__` is deleted in the tree before every run, so each
 run compiles the package from source alike.
 
 `--aa W` adds an A/A arm on workload W: a second parent copy, extracted
-the same way, that joins the rotation (the order of the arms turns by one
-each pair).  Its runs against the parent's give each metric a noise
-floor: the ratio and the gap that two copies of the same code show on
-this machine.  The floor is reporting, not a gate.
+the same way, that runs before, between and after the other two in turn
+(`arm_order`), while they still alternate.  Its runs against the parent's
+give each metric a noise floor: the ratio and the gap that two copies of
+the same code show on this machine.  The floor is reporting, not a gate.
 
 The output is the skeleton of a `BENCH_<label>.json` record, the label
 taken from `--out`: per workload and metric the quartiles and runs of
@@ -26,7 +26,8 @@ between the medians against the parent's interquartile range; with
 `--claim W:M`, whether the change won at least 9 pairs in 10 with a gap
 larger than that range.  Which way is better comes from `BENCHMARK.json`.
 The fields `change` and `layer_moved` are left for the author.  The
-script uses the standard library only, and is not part of tier-1 or CI.
+script uses the standard library only, and is not part of tier-1 or CI;
+`python3 -m doctest tools/ab.py` checks the order of the arms.
 """
 
 from __future__ import annotations
@@ -72,11 +73,34 @@ def extract(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def arm_order(pair: int, aa: bool) -> list[str]:
+    """The order in which the arms run in pair number `pair`, counted from 0.
+
+    Parent and change swap places every pair.  The A/A arm goes first,
+    second and third in turn, two pairs at each place, so that six pairs
+    run all six orders and it precedes the parent in three of them.
+
+    >>> [arm_order(k, False) for k in range(3)]
+    [['parent', 'change'], ['change', 'parent'], ['parent', 'change']]
+    >>> orders = [arm_order(k, True) for k in range(6)]
+    >>> [o.index("parent") < o.index("change") for o in orders]
+    [True, False, True, False, True, False]
+    >>> [o.index("aa") for o in orders], len({tuple(o) for o in orders})
+    ([0, 0, 1, 1, 2, 2], 6)
+    >>> [o.index("aa") < o.index("parent") for o in orders]
+    [True, True, False, True, False, False]
+    """
+    order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+    if aa:
+        order.insert(pair // 2 % 3, "aa")
+    return order
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The result line of one benchmark run in `tree`, after clearing its bytecode."""
     shutil.rmtree(tree / "src" / "kmhecke" / "__pycache__", ignore_errors=True)
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", f"{seconds:g}", "--trace", "0"]
+                             "--seconds", f"{SPEC['run_seconds']:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True)
     lines = proc.stdout.strip().splitlines()
@@ -156,7 +180,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the parent revision, as git names it")
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 4101-4110")
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     ap.add_argument("--aa", default="", help="workloads that get an A/A arm, comma-separated")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--workdir", type=Path, required=True, help="where to put the trees")
@@ -189,12 +212,10 @@ def main(argv=None) -> int:
     first = {w: [] for w in WORKLOADS}
     for pair, seed in enumerate(args.seeds):
         for w in WORKLOADS:
-            arms = list(results[w])
-            k = pair % len(arms)
-            arms = arms[k:] + arms[:k]
+            arms = arm_order(pair, w in aa)
             first[w].append(arms[0])
             for arm in arms:
-                got = run_once(trees[arm], w, seed, args.seconds)
+                got = run_once(trees[arm], w, seed)
                 results[w][arm].append(got)
                 wall = got["metrics"]["wall_s"]["value"]
                 print(f"pair {pair} seed {seed} {w} {arm}: wall_s {wall:.4f}", file=sys.stderr,
@@ -206,17 +227,17 @@ def main(argv=None) -> int:
         "change": "",
         "layer_moved": "",
         "command": " ".join(SPEC["command"])
-        + f" --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        + f" --workload W --seed S --seconds {SPEC['run_seconds']:g} --trace 0",
         "protocol": (
             f"{len(args.seeds)} pairs per workload, seeds {args.seeds[0]}-{args.seeds[-1]}; "
             f"the parent ({args.parent}) extracted with git archive and the change (the "
-            f"working tree on {head}) copied, each into its own directory; within each pair "
-            "the arms ran in an order turned by one from pair to pair, for each workload in "
-            "turn; src/kmhecke/__pycache__ was deleted in the tree before every run; quartiles "
+            f"working tree on {head}) copied, each into its own directory; parent and change "
+            "swapped places from pair to pair, for each workload in turn; src/kmhecke/__pycache__ was deleted in the tree before every run; quartiles "
             "by statistics.quantiles(method='inclusive'); runs lists each run's value in seed "
             "order"
-            + (f"; the A/A arm (aa) is a second git-archive copy of the parent in the same "
-               f"rotation, on {', '.join(aa)}" if aa else "")
+            + (f"; the A/A arm (aa) is a second git-archive copy of the parent, run first, "
+               f"second and third in turn, two pairs at each place, on {', '.join(aa)}"
+               if aa else "")
             + "; written by tools/ab.py"
         ),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
