@@ -52,6 +52,14 @@ class PointLengthMismatch(KacMoodyError):
         )
 
 
+class OutsideTitsCone(KacMoodyError):
+    """A point where Y+ is required, decided to lie outside the Tits cone."""
+
+    def __init__(self, point):
+        self.point = tuple(point)
+        super().__init__(f"point {self.point} lies outside the Tits cone Y+")
+
+
 # --- JSON input ---
 
 class InvalidJSONValue(KacMoodyError):

@@ -34,7 +34,7 @@ Mat = tuple[Vec, ...]
 
 
 def dot(u, v) -> int:
-    return sum(map(operator.mul, u, v))  # every descent test and reflection pairs through here
+    return sum(map(operator.mul, u, v))  # every pairing and reflection goes through here
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

@@ -22,6 +22,7 @@ from .errors import (
     FaceIsSpherical,
     NonSpherical,
     NotDivisible,
+    OutsideTitsCone,
     SimpleIndexOutOfRange,
 )
 from .hecke_bl import BLElement, mult_bl
@@ -31,6 +32,7 @@ from .weyl import (
     element_from_word,
     face_point,
     height_drop,
+    in_y_plus,
     infinite_orbit_witness,
     inverse,
     multiply,
@@ -95,8 +97,8 @@ def double_coset(
     def key(pair):
         mu, x = pair
         drop = height_drop(datum, mu)
-        if drop is None:
-            raise ValueError("coset Y-parts must lie in Y+")
+        if drop is None and not in_y_plus(datum, mu):  # in_y_plus raises when undecided
+            raise OutsideTitsCone(lam)  # Y+ is W-invariant, so lam lies outside too
         return (drop, mu, x.word)
 
     pairs = tuple(sorted(pairs, key=key))

@@ -4,9 +4,9 @@ Each datum has one element store, `STORES[datum]`, that creates every
 element once, with a small integer id (its index; the identity is 0) by
 which the Hecke-algebra kernel keys its tables.  An element carries its
 integer matrix on Y (the action is faithful), its canonical reduced word
-and the image w.rho of one regular dominant point rho of Y, which makes
-descent tests a sign check: i is a left descent of w iff w^{-1}(alpha_i)
-is a negative root, iff alpha_i(w.rho) < 0 (Bjorner-Brenti, ch. 4).
+and the pairings alpha_j(w.rho) of the image of a regular dominant rho,
+so i is a left descent of w iff w^{-1}(alpha_i) is a negative root, iff
+alpha_i(w.rho) < 0 (Bjorner-Brenti, ch. 4).
 
 Every product is a fold over a word of one memoized left multiplication,
 `left_mul(i, w) = r_i w`; only a miss multiplies matrices.  A new element
@@ -15,15 +15,16 @@ word of w; any other new element gets its word from `_descend`.  Stores
 are never emptied, so `ID_CAP` (2^20 elements per datum) holds for the
 life of the process.
 
-`_descend` is the one descent loop: it reflects a point at the smallest
-simple root that pairs negatively with it until none does.  From w.rho it
-spells the canonical word of w; from any point it is the projection to the
-dominant chamber (`dominant_representative`), memoized in one bounded
-table keyed on (datum, point, budget), which `tits_cone_status` reads
-too.  The projection keeps the reflection word it applied and builds the
-minimal-length witness from it only when `minimizer` is read, so the many
-callers that need just the dominant point or the Tits-cone status do no
-Weyl-group multiplication.
+`_descend` is the one descent loop, in pairing coordinates: a point v is
+its vector p = (alpha_j(v))_j, and reflecting v at i subtracts p_i times
+row i of the Cartan matrix from p (Kac, 3.7).  It reflects at the smallest
+negative p_i until none is left.  From the pairings of w.rho it spells the
+canonical word of w; from any point it is the projection to the dominant
+chamber (`dominant_representative`), memoized in one bounded table keyed
+on (datum, point, budget), which `tits_cone_status` reads too.  The
+projection keeps its reflection word and builds the minimal-length witness
+from it only when `minimizer` is read, so callers that need just the
+dominant point or the status do no Weyl-group multiplication.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     BudgetExceeded,
     FaceIsMinimal,
     FaceIsSpherical,
+    OutsideTitsCone,
     PointLengthMismatch,
     SimpleIndexOutOfRange,
     TitsConeUndecided,
@@ -45,11 +47,9 @@ from .root_system import (
     FINITE,
     INDEFINITE,
     GCM,
-    Component,
     Point,
     RootDatum,
     _graph_components,
-    affine_delta,
     classify_components,
     classify_gcm,
     height_between,
@@ -69,18 +69,18 @@ ID_CAP = 1 << 20  # element ids per datum, for the life of the process
 class WeylElement:
     """A Weyl group element; its store builds one object per element, so equality is identity.
 
-    `rho` is w applied to the store's regular dominant point, so
-    alpha_i(rho) < 0 exactly when i is a left descent of w.  Hashing the
+    `pairings` is (alpha_j(w.rho))_j for a regular dominant rho, so
+    pairings[i] < 0 exactly when i is a left descent of w.  Hashing the
     Y-matrix keeps set orders independent of creation order.
     """
 
-    __slots__ = ("datum", "matrix", "word", "rho", "id", "_left", "_hash")
+    __slots__ = ("datum", "matrix", "word", "pairings", "id", "_left", "_hash")
 
-    def __init__(self, datum: RootDatum, matrix, word, rho: Point, wid: int):
+    def __init__(self, datum: RootDatum, matrix, word, pairings, wid: int):
         self.datum = datum
         self.matrix = matrix
         self.word = word
-        self.rho = rho
+        self.pairings = pairings
         self.id = wid
         self._left: dict[int, WeylElement] = {}  # i -> r_i * self, filled by left_mul
         self._hash = hash(matrix)
@@ -114,8 +114,8 @@ class ElementStore:
     __slots__ = ("elems", "by_matrix")
 
     def __init__(self, datum: RootDatum):
-        rho = face_point(datum, (), range(datum.n))  # regular dominant: every alpha_i(rho) > 0
-        e = WeylElement(datum, linalg.identity_matrix(datum.rank_y), (), rho, 0)
+        # alpha_i(rho) = 1 for every i: such a rho exists over Q, the roots being independent
+        e = WeylElement(datum, linalg.identity_matrix(datum.rank_y), (), (1,) * datum.n, 0)
         self.elems = [e]
         self.by_matrix = {e.matrix: e}
 
@@ -142,31 +142,33 @@ def reflect(datum: RootDatum, i: int, v) -> Point:
     return linalg.vec_sub(v, linalg.vec_scale(datum.pairing(i, v), datum.coroots[i]))
 
 
-def _first_negative(datum: RootDatum, v) -> int | None:
-    """The smallest i with alpha_i(v) < 0, or None when v is dominant."""
-    return next((i for i in range(datum.n) if datum.pairing(i, v) < 0), None)
+def _descend(datum: RootDatum, p, limit: int | None):
+    """Reflect at the smallest negative entry of `p`, the pairings of a point v, until none is left.
 
-
-def _descend(datum: RootDatum, point: Point, limit: int | None):
-    """Reflect `point` at its smallest negative pairing until none is left.
-
-    Returns the dominant point reached and the indices reflected at, in
-    order, or None if more than `limit` reflections would be needed.  From
-    w.rho the indices spell the canonical word of w: each is the smallest
-    left descent of what is left.
+    Returns the c with v - sum_i c_i alpha_i^v dominant and the indices
+    reflected at, in order, or None if more than `limit` reflections would
+    be needed.  From w.rho the indices spell the canonical word of w: each
+    is the smallest left descent of what is left.
     """
+    rows = datum.gcm.entries  # row i: alpha_j(alpha_i^v) for every j
+    mults = [0] * datum.n
     word = []
-    while (i := _first_negative(datum, point)) is not None:
+    while True:
+        for i, c in enumerate(p):
+            if c < 0:
+                break
+        else:
+            return mults, tuple(word)
         if limit is not None and len(word) >= limit:
             return None
-        point = reflect(datum, i, point)
+        p = [x - c * a for x, a in zip(p, rows[i])]
+        mults[i] += c
         word.append(i)
-    return point, tuple(word)
 
 
 def left_descents(w: WeylElement) -> list[int]:
     """Indices i with l(r_i w) = l(w) - 1."""
-    return [i for i in range(w.datum.n) if w.datum.pairing(i, w.rho) < 0]
+    return [i for i, x in enumerate(w.pairings) if x < 0]
 
 
 def left_mul(i: int, w: WeylElement) -> WeylElement:
@@ -184,12 +186,13 @@ def left_mul(i: int, w: WeylElement) -> WeylElement:
         wid = len(store.elems)
         if wid >= ID_CAP:
             raise BudgetExceeded(ID_CAP, "Weyl elements of one root datum")
-        rho = reflect(datum, i, w.rho)
-        if _first_negative(datum, rho) == i:  # r_i w is longer, with smallest descent i
+        c = w.pairings[i]
+        pairings = tuple(p - c * a for p, a in zip(w.pairings, datum.gcm.entries[i]))
+        if pairings[i] < 0 and all(p >= 0 for p in pairings[:i]):  # longer, smallest descent i
             word = (i,) + w.word
         else:
-            word = _descend(datum, rho, None)[1]  # one reflection per letter of r_i w
-        x = WeylElement(datum, matrix, word, rho, wid)
+            word = _descend(datum, pairings, None)[1]  # one reflection per letter of r_i w
+        x = WeylElement(datum, matrix, word, pairings, wid)
         store.elems.append(x)
         store.by_matrix[matrix] = x
     w._left[i] = x
@@ -241,7 +244,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     for i in reversed(w.word):
         if not x.word:
             return True
-        if datum.pairing(i, x.rho) < 0:
+        if x.pairings[i] < 0:
             x = left_mul(i, x)
     return not x.word
 
@@ -297,10 +300,6 @@ class DominantReport:
         return element_from_word(self.datum, self.word)
 
 
-def _component_pairings(datum: RootDatum, comp: Component, lam) -> list[int]:
-    return [datum.pairing(i, lam) for i in comp.indices]
-
-
 def dominant_representative(
     datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET
 ) -> DominantReport:
@@ -318,21 +317,23 @@ def dominant_representative(
 def _project(datum: RootDatum, lam: Point, budget: int) -> DominantReport:
     if len(lam) != datum.rank_y:
         raise PointLengthMismatch(lam, datum.rank_y)
-    report = classify_components(datum)
+    p = [datum.pairing(i, lam) for i in range(datum.n)]
     decided = True
-    for comp in report.components:
-        vals = _component_pairings(datum, comp, lam)
+    for comp in classify_components(datum).components:
+        vals = [p[i] for i in comp.indices]
         if comp.kind == AFFINE:
-            level = linalg.dot(affine_delta(datum, comp), lam)
-            if level < 0 or (level == 0 and any(v != 0 for v in vals)):
+            level = linalg.dot(comp.delta_coeffs, vals)  # delta = sum_i a_i alpha_i
+            if level < 0 or (level == 0 and any(vals)):
                 return DominantReport(datum, None, None, NOT_IN_TITS_CONE)
-        elif comp.kind == INDEFINITE and any(v != 0 for v in vals):
+        elif comp.kind == INDEFINITE and any(vals):
             decided = False
 
-    found = _descend(datum, lam, None if decided else budget)
+    found = _descend(datum, p, None if decided else budget)
     if found is None:
         return DominantReport(datum, None, None, UNKNOWN)
-    return DominantReport(datum, *found, IN_TITS_CONE)
+    mults, word = found
+    dominant = tuple(x - linalg.dot(mults, col) for x, col in zip(lam, zip(*datum.coroots)))
+    return DominantReport(datum, dominant, word, IN_TITS_CONE)
 
 
 def tits_cone_status(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) -> str:
@@ -443,11 +444,8 @@ def orbit_is_finite(datum: RootDatum, lam, budget: int = DEFAULT_TITS_BUDGET) ->
     The orbit is finite iff every affine or indefinite component pairs
     trivially with lam, so that only finite-type components move it.
     """
-    st = tits_cone_status(datum, lam, budget)
-    if st == UNKNOWN:
-        raise TitsConeUndecided(tuple(lam), budget)
-    if st == NOT_IN_TITS_CONE:
-        raise ValueError("orbit finiteness expects a point of Y+")
+    if not in_y_plus(datum, lam, budget):  # raises TitsConeUndecided past the budget
+        raise OutsideTitsCone(lam)
     return suborbit_is_finite(datum, range(datum.n), lam)
 
 

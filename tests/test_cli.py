@@ -275,6 +275,20 @@ def test_wrong_length_point(capsys, a2_file, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["parahoric", "coset", "--jzero", "0", "--point", "0,0,-1"],
+        ["parahoric", "product", "--jzero", "0",
+         "--d1", '{"lambda": [0, 0, -1], "word": []}', "--d2", '{"lambda": [0, 0, 0], "word": []}'],
+    ],
+)
+def test_point_outside_the_tits_cone(capsys, argv):
+    code, out, err = run(capsys, argv[:2] + ["--datum", _golden("aff.json")] + argv[2:])
+    assert code == 2 and out == ""
+    assert err == "OutsideTitsCone: point (0, 0, -1) lies outside the Tits cone Y+\n"
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"gcm": [[2, -1], [-1, 2]], "rank_y": 2, "coroots": [[1], [0, 1]], "roots": [[2, -1], [-1, 2]]},

@@ -4,7 +4,14 @@ import pytest
 
 from kmhecke import parahoric
 from kmhecke.coeff_ring import LaurentPoly, param_ring_for
-from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, NonSpherical, NotDivisible
+from kmhecke.errors import (
+    FaceIsMinimal,
+    FaceIsSpherical,
+    NonSpherical,
+    NotDivisible,
+    OutsideTitsCone,
+    TitsConeUndecided,
+)
 from kmhecke.hecke_bl import BLElement, mult_bl
 from kmhecke.parahoric import (
     CosetLabel,
@@ -61,6 +68,14 @@ class TestDoubleCoset:
     def test_nonspherical_rejected(self, chain3):
         with pytest.raises(NonSpherical):
             double_coset(face_type(chain3, (0, 1)), (0, 0, 0), identity(chain3))
+
+    def test_outside_the_tits_cone_refused(self, aff):
+        with pytest.raises(OutsideTitsCone):
+            double_coset(face_type(aff, (0,)), (0, 0, -1), identity(aff))
+
+    def test_undecided_point_refused(self, chain3):
+        with pytest.raises(TitsConeUndecided):  # undecided within the default budget
+            double_coset(face_type(chain3, (2,)), (-4, -4, -5), identity(chain3))
 
 
 class TestParahoricProduct:

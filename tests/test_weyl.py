@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kmhecke import root_system, weyl
-from kmhecke.errors import FaceIsMinimal, FaceIsSpherical, PointLengthMismatch
+from kmhecke.errors import (
+    BudgetExceeded,
+    FaceIsMinimal,
+    FaceIsSpherical,
+    OutsideTitsCone,
+    PointLengthMismatch,
+)
 from kmhecke.root_system import dominance_leq
 from kmhecke.weyl import (
     IN_TITS_CONE,
@@ -41,6 +47,10 @@ class TestSimpleReflection:
     def test_a1_negates_coroot(self, a1):
         r = simple_reflection(a1, 0)
         assert r.apply((1,)) == (-1,)
+
+    def test_repr_spells_the_word(self, a2):
+        assert repr(identity(a2)) == "W(e)"
+        assert repr(element_from_word(a2, (0, 1))) == "W(r1*r2)"
 
 
 class TestMultiply:
@@ -241,6 +251,11 @@ class TestOrbits:
         res = orbit_enumerate(aff, (0, 0, 1), max_count=5)
         assert len(res.points) == 5 and not res.complete
 
+    def test_length_cap_complete_iff_closed(self, a2):
+        assert len(orbit_enumerate(a2, (1, 1), max_length=3)) == 6
+        assert orbit_enumerate(a2, (1, 1), max_length=3).complete
+        assert not orbit_enumerate(a2, (1, 1), max_length=2).complete
+
 
 class TestOrbitFiniteness:
     def test_finite_type_always(self, a2):
@@ -251,6 +266,10 @@ class TestOrbitFiniteness:
 
     def test_level_one_infinite(self, aff):
         assert not orbit_is_finite(aff, (0, 0, 1))
+
+    def test_outside_the_tits_cone_refused(self, aff):
+        with pytest.raises(OutsideTitsCone):
+            orbit_is_finite(aff, (0, 0, -1))
 
     def test_agrees_with_bfs_doubling(self, aff, a2):
         rng = random.Random(5)
@@ -365,9 +384,27 @@ class TestInfiniteOrbitWitness:
         with pytest.raises(FaceIsMinimal):
             infinite_orbit_witness(chain3, (0, 1, 2), ())
 
+    def test_witness_through_a_vertex_outside_j_pos(self, chain3):
+        # on the chain 0-1-2-3 only coroot 2 has an infinite W_{01}-orbit, and 2 is not in J_pos
+        chain4 = root_system.build_realization(
+            root_system.validate_gcm([[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+        )
+        w = infinite_orbit_witness(chain4, (0, 1), (3,))
+        assert not suborbit_is_finite(chain4, (0, 1), w.apply(face_point(chain4, (0, 1), (3,))))
+        assert infinite_orbit_witness(chain3, (0, 1)) == infinite_orbit_witness(chain3, (0, 1), (2,))
+
+    def test_graph_path_is_a_shortest_path(self, chain3, mixed3):
+        assert weyl._gcm_graph_path(chain3.gcm, (0,), 2) == [0, 1, 2]
+        assert weyl._gcm_graph_path(chain3.gcm, (2,), 0) == [2, 1, 0]
+        assert weyl._gcm_graph_path(chain3.gcm, (0, 1), 2) == [1, 2]
+        assert weyl._gcm_graph_path(mixed3.gcm, (1,), 0) is None
+
 
 def test_parabolic_elements_a2(a2):
     full = parabolic_elements(a2, (0, 1))
     assert len(full) == 6
+    assert len(parabolic_elements(a2, (0, 1), cap=6)) == 6
+    with pytest.raises(BudgetExceeded):
+        parabolic_elements(a2, (0, 1), cap=5)
     assert len(parabolic_elements(a2, (0,))) == 2
     assert len(parabolic_elements(a2, ())) == 1

@@ -3,9 +3,11 @@
     python3 tools/mutants.py src/kmhecke/hecke_bl.py --sample 20 --seed 7 --workdir /tmp/mutants
 
 A site is one operator that can flip: `<` and `<=`, `>` and `>=`, `==` and
-`!=` in a comparison, `+` and `-` in a binary or augmented operation.  A
-mutant flips one site.  The sites are numbered in the order `ast.walk`
-meets them, and `--sample k` takes `random.Random(seed).sample` of them.
+`!=`, `in` and `not in` in a comparison, `+` and `-` in a binary or
+augmented operation, `and` and `or` in a boolean guard; or a `not`, which
+the mutant drops.  A mutant changes one site.  The sites are numbered in
+the order `ast.walk` meets them, and `--sample k` takes
+`random.Random(seed).sample` of them.
 
 The repository is copied once into `--workdir`; every mutant is written
 there, never into the repository.  The copy's tier-1 suite runs first on
@@ -38,11 +40,14 @@ FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt,
     ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+    ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.And: ast.Or, ast.Or: ast.And,
 }
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-    ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-",
+    ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in",
+    ast.Add: "+", ast.Sub: "-", ast.And: "and", ast.Or: "or", ast.Not: "not",
 }
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "-p", "_mutants_no_shrink"]
@@ -74,13 +79,15 @@ def _owners(tree):
 
 
 def _slots(tree):
-    """(node, index) of every flippable operator: index into a comparison's ops, or None."""
+    """(node, index) of every site: index into a comparison's ops, or None."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
             for k, op in enumerate(node.ops):
                 if type(op) in FLIPS:
                     yield node, k
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in FLIPS:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in FLIPS:
+            yield node, None
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             yield node, None
 
 
@@ -101,7 +108,7 @@ def sites(path: Path):
     for n, (node, k) in enumerate(_slots(tree)):
         old = type(_op(node, k))
         segment = " ".join(ast.get_source_segment(source, node).split())
-        flip = f"{SYMBOLS[old]} -> {SYMBOLS[FLIPS[old]]}"
+        flip = f"{SYMBOLS[old]} -> {SYMBOLS[FLIPS[old]]}" if old in FLIPS else f"drop {SYMBOLS[old]}"
         base = f"{path.name}::{owner.get(node, '<module>')}::{segment}::{flip}"
         seen[base] = seen.get(base, 0) + 1
         ident = base if seen[base] == 1 else f"{base}#{seen[base]}"
@@ -109,11 +116,38 @@ def sites(path: Path):
     return out
 
 
+def _replace(tree, old, new):
+    """Put `new` where `tree` holds the node `old`."""
+    for parent in ast.walk(tree):
+        for name, value in ast.iter_fields(parent):
+            if isinstance(value, list):
+                for k, v in enumerate(value):
+                    if v is old:
+                        value[k] = new
+                        return
+            elif value is old:
+                setattr(parent, name, new)
+                return
+
+
 def mutate(source: str, site: int) -> str:
-    """`source` with the operator of site number `site` flipped."""
+    """`source` with the operator of site number `site` flipped, or its `not` dropped.
+
+    A boolean guard has a site at each `and`, `not in` and `not`:
+
+    >>> guard = "skip = mu not in stored and not allowed"
+    >>> for site in range(3):
+    ...     print(mutate(guard, site), end="")
+    skip = mu not in stored or not allowed
+    skip = mu in stored and (not allowed)
+    skip = mu not in stored and allowed
+    """
     tree = ast.parse(source)
     for n, (node, k) in enumerate(_slots(tree)):
         if n == site:
+            if isinstance(node, ast.UnaryOp):
+                _replace(tree, node, node.operand)
+                return ast.unparse(tree) + "\n"
             new = FLIPS[type(_op(node, k))]()
             if k is None:
                 node.op = new
